@@ -167,8 +167,10 @@ def gate_against_baseline(
     Diffs the freshly written report against the committed floor
     baseline (``benchmarks/baselines/<name>[_quick].json``) with the
     direction registry, and fails the test on any regression past
-    ``threshold``.  Returns the :class:`~repro.obs.diff.ReportDiff` so
-    callers can print or inspect it.  The baselines hold *floor*
+    ``threshold`` or any baseline metric missing from the report (a
+    renamed or deleted metric must not silently drop its gate).
+    Returns the :class:`~repro.obs.diff.ReportDiff` so callers can
+    print or inspect it.  The baselines hold *floor*
     values (e.g. ``speedup: 5.0``), so with the default threshold 0.0
     this is exactly "never worse than the floor" — one mechanism for
     every bench, and the same one CI drives via ``python -m repro
@@ -187,7 +189,7 @@ def gate_against_baseline(
     diff = diff_report_files(
         base, report_path, threshold=threshold, overrides=overrides
     )
-    if diff.regressions:
+    if diff.verdict != "ok":
         raise AssertionError(
             f"regression against baseline {os.path.basename(base)}:\n\n"
             + diff.render()

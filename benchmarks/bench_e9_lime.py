@@ -102,15 +102,7 @@ def run_rev(count, observe=False):
     fill_readings(world, sensors, count)
     # Expose each sensor's lime space to REV guests.
     for sensor in sensors:
-        space = sensor.component("lime").space
-        original = sensor.execution_context
-
-        def patched(principal, services=None, _space=space, _original=original):
-            services = dict(services or {})
-            services["lime_space"] = _space
-            return _original(principal, services)
-
-        sensor.execution_context = patched
+        sensor.guest_services["lime_space"] = sensor.component("lime").space
     consumer.codebase.install(aggregation_unit())
     base = consumer.node.costs.total_bytes
 

@@ -10,7 +10,8 @@ Commands:
   files the benchmarks write under ``benchmarks/results/``);
 * ``compare`` — diff two run reports metric by metric with
   higher/lower-is-better direction annotations; ``--fail-on regress``
-  exits 1 on a regression past the threshold (the benchmark gate);
+  exits 1 on a regression past the threshold or a base metric missing
+  from the new report (the benchmark gate);
 * ``trace``   — causal trace analytics on a report's spans: ``summary``
   (per-paradigm latency attribution), ``critical-path`` (the chain of
   spans that bounds each slow invocation), ``slowest`` (ranked table),
@@ -209,10 +210,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(diff.to_json())
     else:
         print(diff.render(all_metrics=args.all))
-    if args.fail_on == "regress" and diff.regressions:
+    if args.fail_on == "regress" and diff.verdict != "ok":
         return 1
     if args.fail_on == "change" and (
-        diff.regressions
+        diff.verdict != "ok"
         or diff.improvements
         or any(d.verdict == "changed" for d in diff.deltas)
     ):
@@ -523,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
             "metric is annotated with its direction (higher/lower is "
             "better, from the repro.obs.diff registry) and judged "
             "improved / regressed / unchanged against the relative "
-            "threshold.  Exit codes: 0 ok, 1 regression (with "
+            "threshold; a base metric missing from the new report is "
+            "a regression too.  Exit codes: 0 ok, 1 regression (with "
             "--fail-on) or unreadable input, 2 usage error."
         ),
     )
@@ -541,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["regress", "change"],
         default=None,
         help="exit 1 when a directional metric regresses past the "
-        "threshold ('regress'), or on any thresholded change ('change')",
+        "threshold or a base metric is missing from the new report "
+        "('regress'), or also on any thresholded change ('change')",
     )
     compare_cmd.add_argument(
         "--direction",

@@ -25,7 +25,6 @@ from ..lmu import Capsule, Codebase, CodeRepository
 from ..net import Message, NetworkNode
 from ..security import (
     ExecuteResult,
-    ExecutionContext,
     InProcessProvider,
     KeyPair,
     QuotaGrant,
@@ -102,6 +101,11 @@ class MobileHost:
         self._closed_requests_limit = 1024
         #: CS services offered locally: name -> (handler, work units).
         self.services: Dict[str, Tuple[ServiceHandler, float]] = {}
+        #: Host services offered to every guest this host runs (REV
+        #: bodies, agent steps): name -> handle, looked up by guests
+        #: with ``ctx.service(name)``.  Per-call ``services`` passed to
+        #: :meth:`guest_session` win on a name clash.
+        self.guest_services: Dict[str, object] = {}
         self.context = ContextRegistry(now=lambda: self.env.now)
         self.unhandled_messages = 0
         self.rejected_capsules = 0
@@ -372,20 +376,6 @@ class MobileHost:
             self.battery.consume_cpu(seconds)
         return seconds
 
-    def execution_context(
-        self, principal: str, services: Optional[Dict[str, object]] = None
-    ) -> ExecutionContext:
-        """A sandbox context carrying ``principal``'s quota grant."""
-        grant = self.policy.grant_for(principal)
-        return ExecutionContext(
-            host_id=self.id,
-            principal=principal,
-            work_budget=grant.work_units,
-            storage_budget_bytes=grant.storage_bytes,
-            services=services,
-            service_call_budget=grant.service_calls,
-        )
-
     def provider_for(self, grant: QuotaGrant) -> SandboxProvider:
         """The installed provider a grant names (default: in-process)."""
         return self.providers.get(grant.provider, self.providers["inprocess"])
@@ -400,9 +390,10 @@ class MobileHost:
 
         The policy's :meth:`~repro.security.SecurityPolicy.grant_for`
         picks the quotas and (unless ``provider`` overrides it) the
-        provider flavor.  The caller owns the session: run guests with
-        ``provider.execute(session, guest, *args)`` and finish with
-        :meth:`close_guest_session`.
+        provider flavor.  The guest sees :attr:`guest_services`
+        overlaid with the per-call ``services``.  The caller owns the
+        session: run guests with ``provider.execute(session, guest,
+        *args)`` and finish with :meth:`close_guest_session`.
         """
         grant = self.policy.grant_for(principal)
         chosen = (
@@ -413,7 +404,7 @@ class MobileHost:
         session = chosen.open_session(
             principal,
             grant,
-            services=services,
+            services={**self.guest_services, **(services or {})},
             now=self.env.now,
             cpu_speed=self.node.cpu_speed,
         )

@@ -27,9 +27,7 @@ provides:
   tree.
 * **Uniform metrics** — every paradigm emits
   ``paradigm.<kind>.{calls,served,errors,retries}`` counters and a
-  ``paradigm.<kind>.seconds`` histogram; the pre-refactor names
-  (``cs.calls``, ``rev.requests``, …) are still emitted as deprecated
-  aliases (see docs/OBSERVABILITY.md).
+  ``paradigm.<kind>.seconds`` histogram (see docs/OBSERVABILITY.md).
 
 On top of the pipeline sits the executable :class:`Paradigm` protocol:
 ``invoke(task, target)`` plus ``cost(task, link)``, implemented by
@@ -80,22 +78,6 @@ TRANSIENT_LINK_ERRORS = (Unreachable, TransportTimeout)
 
 #: The uniform per-paradigm counter set every paradigm emits.
 PARADIGM_COUNTERS = ("calls", "served", "errors", "retries")
-
-#: Canonical ``paradigm.<kind>.*`` name -> pre-refactor alias still
-#: emitted for dashboard/report compatibility (deprecated; see
-#: docs/OBSERVABILITY.md "Unified paradigm metrics").
-LEGACY_METRIC_ALIASES: Dict[str, str] = {
-    "paradigm.cs.calls": "cs.calls",
-    "paradigm.cs.served": "cs.served",
-    "paradigm.cs.seconds": "cs.call_seconds",
-    "paradigm.rev.calls": "rev.requests",
-    "paradigm.rev.served": "rev.served",
-    "paradigm.rev.seconds": "rev.roundtrip_seconds",
-    "paradigm.cod.calls": "cod.fetches",
-    "paradigm.cod.served": "cod.served",
-    "paradigm.cod.seconds": "cod.fetch_seconds",
-}
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -215,24 +197,17 @@ class InvocationPipeline:
             )
         return counter
 
-    def bump(
-        self, name: str, amount: float = 1, alias: Optional[str] = None
-    ) -> None:
-        """Increment a uniform counter (and its deprecated alias).
+    def bump(self, name: str, amount: float = 1) -> None:
+        """Increment a uniform counter.
 
-        The canonical counter is the per-node labeled child — it
-        forwards to the flat ``paradigm.<kind>.*`` total, so the
-        fleet-wide figure is untouched while health monitors can tell
-        which host is burning retries.  Aliases stay flat: they are
-        deprecated names kept only for old dashboards.
+        The counter is the per-node labeled child — it forwards to the
+        flat ``paradigm.<kind>.*`` total, so the fleet-wide figure is
+        untouched while health monitors can tell which host is burning
+        retries.
         """
         self._counter(self.metric_name(name)).increment(amount)
-        if alias:
-            self.host.world.metrics.counter(alias).increment(amount)
 
-    def observe_seconds(
-        self, seconds: float, alias: Optional[str] = None
-    ) -> None:
+    def observe_seconds(self, seconds: float) -> None:
         name = self.metric_name("seconds")
         histogram = self._label_cache.get(name)
         if histogram is None:
@@ -243,14 +218,12 @@ class InvocationPipeline:
                 )
             )
         histogram.observe(seconds)
-        if alias:
-            self.host.world.metrics.histogram(alias).observe(seconds)
 
     # -- server side ------------------------------------------------------------
 
-    def record_served(self, alias: Optional[str] = None) -> None:
+    def record_served(self) -> None:
         """Count one successfully served request on this host."""
-        self.bump("served", alias=alias)
+        self.bump("served")
 
     def reply_error(self, request: Message, kind: str, error: object):
         """Reply a marshalled error, sized from its actual payload.
@@ -303,7 +276,6 @@ class InvocationPipeline:
         op: str,
         attempt: Callable[[object], Generator],
         *,
-        aliases: Optional[Dict[str, str]] = None,
         retry: Optional[RetryPolicy] = None,
         transient: Tuple[type, ...] = (),
         **span_fields: object,
@@ -317,17 +289,13 @@ class InvocationPipeline:
         ``retry`` policy are given, the whole operation is re-attempted
         with backoff (used by MA, where a lost agent means relaunching,
         not re-sending a message).
-
-        ``aliases`` maps ``"calls"``/``"seconds"`` to the deprecated
-        pre-refactor metric names to co-emit.
         """
-        names = aliases or {}
         host = self.host
         tracer = host.world.tracer
         env = host.env
         policy = NO_RETRY if retry is None else retry
         attempts = max(1, policy.attempts) if transient else 1
-        self.bump("calls", alias=names.get("calls"))
+        self.bump("calls")
         span = tracer.start(op, host.id, **span_fields)
         started = env.now
         result: object = None
@@ -355,7 +323,7 @@ class InvocationPipeline:
             self.bump("errors")
             tracer.finish(span, status="error", error=type(error).__name__)
             raise
-        self.observe_seconds(env.now - started, alias=names.get("seconds"))
+        self.observe_seconds(env.now - started)
         tracer.finish(span)
         return result
 

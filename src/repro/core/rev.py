@@ -115,10 +115,6 @@ class RemoteEvaluation(Component):
             yield from self.pipeline.run(
                 "rev.evaluate",
                 attempt,
-                aliases={
-                    "calls": "rev.requests",
-                    "seconds": "rev.roundtrip_seconds",
-                },
                 root=str(roots[0]),
                 target=target_id,
             )
@@ -178,7 +174,7 @@ class RemoteEvaluation(Component):
                 message, KIND_ERROR, result.error_wire
             )
             return
-        self.pipeline.record_served(alias="rev.served")
+        self.pipeline.record_served()
         yield host.reply_to(
             message,
             KIND_REPLY,

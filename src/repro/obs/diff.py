@@ -14,9 +14,10 @@ dicts under a relative threshold and produces a :class:`ReportDiff`
 whose verdict is machine-readable (``to_dict``) and human-readable
 (``render``).  ``python -m repro compare A B --fail-on regress`` wraps
 it for CI: exit 1 when any directional metric regresses past the
-threshold.  ``benchmarks/_common.gate_against_baseline`` wraps it for
-the benchmark suite, replacing per-script hand-rolled floor asserts
-with checked-in baseline reports.
+threshold or any base metric is missing from the new report.
+``benchmarks/_common.gate_against_baseline`` wraps it for the
+benchmark suite, replacing per-script hand-rolled floor asserts with
+checked-in baseline reports.
 """
 
 from __future__ import annotations
@@ -249,7 +250,10 @@ class ReportDiff:
 
     @property
     def verdict(self) -> str:
-        return "regression" if self.regressions else "ok"
+        """``"regression"`` when a shared metric regressed or a base
+        metric is missing from the new report (a gated metric that
+        disappears must not pass its gate), else ``"ok"``."""
+        return "regression" if self.regressions or self.removed else "ok"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -323,14 +327,17 @@ class ReportDiff:
             )
         for note in self.notes:
             parts.append(f"note: {note}")
+        reasons = []
+        if self.regressions:
+            reasons.append(
+                f"{len(self.regressions)} metric(s) regressed past "
+                f"{self.threshold * 100:g}%"
+            )
+        if self.removed:
+            reasons.append(f"{len(self.removed)} metric(s) missing from new")
         parts.append(
             f"verdict: {self.verdict.upper()}"
-            + (
-                f" — {len(self.regressions)} metric(s) regressed past "
-                f"{self.threshold * 100:g}%"
-                if self.regressions
-                else ""
-            )
+            + (" — " + "; ".join(reasons) if reasons else "")
         )
         return "\n\n".join(parts)
 

@@ -36,7 +36,6 @@ from .policy import (
 )
 from .provider import (
     ExecuteResult,
-    ExecutionResult,
     InProcessProvider,
     Metrics,
     ProviderCapabilities,
@@ -44,11 +43,7 @@ from .provider import (
     SessionInfo,
     StrictProvider,
 )
-from .sandbox import (
-    WORK_UNITS_PER_SECOND,
-    ExecutionContext,
-    Sandbox,
-)
+from .sandbox import WORK_UNITS_PER_SECOND, ExecutionContext
 from .signing import capsule_verification_delay, sign_capsule, verify_capsule
 from .truststore import TrustStore
 
@@ -57,7 +52,6 @@ __all__ = [
     "CLIENT_ONLY_POLICY",
     "ExecuteResult",
     "ExecutionContext",
-    "ExecutionResult",
     "InProcessProvider",
     "KeyPair",
     "Metrics",
@@ -74,7 +68,6 @@ __all__ = [
     "SIGNED_POLICY",
     "SIGN_FIXED_S",
     "SIGN_PER_BYTE_S",
-    "Sandbox",
     "SandboxProvider",
     "SecurityPolicy",
     "SessionInfo",

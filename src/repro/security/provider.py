@@ -124,11 +124,6 @@ class ExecuteResult:
         return self.work_used / WORK_UNITS_PER_SECOND
 
 
-#: Backward-compatible name: the pre-provider sandbox returned an
-#: ``ExecutionResult``; it is the same record.
-ExecutionResult = ExecuteResult
-
-
 class SandboxProvider:
     """Base provider: session lifecycle + contained guest execution.
 
@@ -207,18 +202,6 @@ class SandboxProvider:
             service_call_budget=grant.service_calls,
             strict=self.strict,
         )
-        return self.session_for(context, now=now, cpu_speed=cpu_speed)
-
-    def session_for(
-        self,
-        context: ExecutionContext,
-        now: float = 0.0,
-        cpu_speed: float = 1.0,
-    ) -> SessionInfo:
-        """Wrap an externally built context in a session (the adapter
-        the legacy :class:`~repro.security.sandbox.Sandbox` facade and
-        unit tests use)."""
-        context.strict = self.strict
         self._session_counter += 1
         return SessionInfo(
             session_id=f"{self.host_id}:{self.name}:{self._session_counter}",

@@ -150,38 +150,3 @@ class ExecutionContext:
         self.service_calls += 1
         return handle
 
-
-class Sandbox:
-    """Legacy facade: runs guest callables under a context.
-
-    Thin adapter over :class:`~repro.security.provider.InProcessProvider`
-    for call sites that manage their own :class:`ExecutionContext`.
-    All accounting lives in the provider and the metrics registry
-    (per-node ``security.*`` children) — the old ``executions`` /
-    ``violations`` instance counters are gone.
-    """
-
-    def __init__(self, host_id: str, metrics: Optional[Any] = None) -> None:
-        from .provider import InProcessProvider
-
-        self.host_id = host_id
-        self.metrics = metrics
-        self._provider = InProcessProvider(host_id, metrics=metrics)
-
-    @property
-    def provider(self) -> Any:
-        return self._provider
-
-    def run(self, guest: Any, context: ExecutionContext, *args: object) -> Any:
-        """Execute ``guest(context, *args)`` under protection.
-
-        Exceptions never propagate: budget violations and guest bugs
-        both come back as a failed
-        :class:`~repro.security.provider.ExecuteResult` carrying the
-        typed wire-error payload.
-        """
-        session = self._provider.session_for(context)
-        try:
-            return self._provider.execute(session, guest, *args)
-        finally:
-            self._provider.close_session(session)

@@ -174,6 +174,21 @@ class TestServices:
         host.unregister_service("svc")
         host.register_service("svc", lambda args, host: (None, 0))
 
+    def test_guest_services_reach_every_guest_session(self, world):
+        host = make_host(world, "a")
+        host.guest_services["space"] = "shared"
+        host.guest_services["clash"] = "host-wide"
+
+        def guest(ctx):
+            return ctx.service("space"), ctx.service("clash")
+
+        result = host.run_guest(guest, "p", services={"clash": "per-call"})
+        assert result.value == ("shared", "per-call")
+        # Long-lived sessions (a visiting agent's stay) see them too.
+        provider, session = host.guest_session("agent-1")
+        assert session.context.service("space") == "shared"
+        host.close_guest_session(provider, session)
+
 
 class TestExecute:
     def test_execute_scales_with_cpu_speed(self, world):

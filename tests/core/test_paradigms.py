@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import World, mutual_trust, standard_host
+from repro.core import (
+    InvocationTask,
+    World,
+    mutual_trust,
+    provision_task,
+    standard_host,
+)
 from repro.errors import (
     QuotaExceeded,
     RemoteExecutionError,
@@ -85,8 +91,8 @@ class TestClientServer:
             yield from a.component("cs").call("b", "s")
 
         run(a.world, go())
-        assert a.world.metrics.counter("cs.calls").value == 1
-        assert a.world.metrics.counter("cs.served").value == 1
+        assert a.world.metrics.counter("paradigm.cs.calls").value == 1
+        assert a.world.metrics.counter("paradigm.cs.served").value == 1
 
 
 class TestRemoteEvaluation:
@@ -173,6 +179,51 @@ class TestRemoteEvaluation:
             run(phone.world, go())
         assert "work budget" in str(excinfo.value)
 
+    def test_guest_reads_host_offered_service(self, phone_and_server):
+        phone, server = phone_and_server
+        readings = [3.0, 5.0]
+        server.guest_services["readings"] = readings
+        # Per-call services win over host-wide ones on a name clash.
+        server.guest_services["host_id"] = "spoofed"
+
+        def factory():
+            def body(ctx):
+                return {
+                    "mean": sum(ctx.service("readings")) / 2,
+                    "host": ctx.service("host_id"),
+                }
+
+            return body
+
+        phone.codebase.install(code_unit("mean", "1.0.0", factory, 1000))
+
+        def go():
+            return (
+                yield from phone.component("rev").evaluate("server", ["mean"])
+            )
+
+        assert run(phone.world, go()) == {"mean": 4.0, "host": "server"}
+
+    def test_unoffered_service_names_the_host(self, phone_and_server):
+        phone, server = phone_and_server
+
+        def factory():
+            def body(ctx):
+                return ctx.service("lime_space")
+
+            return body
+
+        phone.codebase.install(code_unit("reader", "1.0.0", factory, 1000))
+
+        def go():
+            yield from phone.component("rev").evaluate("server", ["reader"])
+
+        with pytest.raises(SandboxViolation) as excinfo:
+            run(phone.world, go())
+        assert "host server offers no service 'lime_space'" in str(
+            excinfo.value
+        )
+
 
 class TestCodeOnDemand:
     def _provision(self, server, units):
@@ -234,6 +285,29 @@ class TestCodeOnDemand:
         metrics = phone.world.metrics
         assert metrics.counter("cod.hits").value == 1
         assert metrics.counter("cod.misses").value == 1
+
+    def test_invoke_counts_calls_and_fetches_apart(self, phone_and_server):
+        # ``paradigm.cod.calls`` counts pipeline operations (hit or
+        # miss); ``cod.fetches`` counts capsule-fetch exchanges only.
+        phone, server = phone_and_server
+
+        def factory():
+            return lambda ctx, payload=None: payload
+
+        task = InvocationTask(name="codec", factory=factory, payload=1)
+        provision_task(server, task)
+
+        def go():
+            cod = phone.component("cod")
+            yield from cod.invoke(task, "server")  # miss: fetches
+            yield from cod.invoke(task, "server")  # hit: cached
+
+        run(phone.world, go())
+        metrics = phone.world.metrics
+        assert metrics.counter("cod.misses").value == 1
+        assert metrics.counter("cod.hits").value == 1
+        assert metrics.counter("paradigm.cod.calls").value == 2
+        assert metrics.counter("cod.fetches").value == 1
 
     def test_release_uninstalls(self, phone_and_server):
         phone, server = phone_and_server

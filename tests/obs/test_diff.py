@@ -23,7 +23,7 @@ class TestDirectionRegistry:
     def test_lower_better_patterns(self):
         for name in (
             "net.delivery_latency.p99",
-            "cs.call_seconds.mean",
+            "paradigm.cs.seconds.mean",
             "fleet.bytes_sent",
             "net.messages_lost",
             "agents.migration_failures",
@@ -37,7 +37,7 @@ class TestDirectionRegistry:
         for name in (
             "speedup",
             "topo.hits",
-            "cs.served",
+            "paradigm.cs.served",
             "net.messages_delivered",
             "net.broadcast_reach.mean",
         ):
@@ -101,7 +101,7 @@ class TestDiffReports:
         diff = diff_reports(self.load(BASE), self.load(REGRESSED))
         by_name = {delta.name: delta.verdict for delta in diff.deltas}
         assert by_name == {
-            "cs.served": "regressed",            # higher-better, -10%
+            "paradigm.cs.served": "regressed",   # higher-better, -10%
             "fleet.bytes_sent": "regressed",     # lower-better, +20%
             "net.delivery_latency.p99": "regressed",  # lower-better, +50%
             "net.messages_lost": "unchanged",
@@ -124,7 +124,7 @@ class TestDiffReports:
             self.load(BASE),
             self.load(REGRESSED),
             overrides={
-                "cs.served": None,
+                "paradigm.cs.served": None,
                 "fleet.bytes_sent": None,
                 "net.delivery_latency.p99": "higher",
             },
@@ -138,6 +138,20 @@ class TestDiffReports:
         assert diff.improvements[0].name == "speedup"
         regressed = diff_reports({"speedup": 5.0}, {"speedup": 2.0})
         assert regressed.verdict == "regression"
+
+    def test_missing_base_metric_is_a_regression(self):
+        # A gated metric that disappears (renamed or deleted) must not
+        # pass its gate just because nothing is left to compare.
+        diff = diff_reports(
+            {"speedup": 5.0, "lat.max": 3.6}, {"speedup": 5.0}
+        )
+        assert not diff.regressions
+        assert diff.removed == {"lat.max": 3.6}
+        assert diff.verdict == "regression"
+        assert "1 metric(s) missing from new" in diff.render()
+        # The other way round, a metric only in the new report is fine.
+        added = diff_reports({"speedup": 5.0}, {"speedup": 5.0, "x": 1.0})
+        assert added.verdict == "ok"
 
     def test_deterministic_output(self):
         first = diff_reports(self.load(BASE), self.load(REGRESSED))
@@ -186,6 +200,18 @@ class TestCompareCli:
         assert main(["compare", BASE, REGRESSED, "--fail-on", "regress"]) == 1
         out = capsys.readouterr().out
         assert "net.delivery_latency.p99" in out
+        assert "REGRESSION" in out
+
+    def test_exit_one_when_base_metric_missing(self, tmp_path, capsys):
+        with open(BASE) as handle:
+            document = json.load(handle)
+        del document["metrics"]["net.delivery_latency.p99"]
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(document))
+        code = main(["compare", BASE, str(partial), "--fail-on", "regress"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "only in base: net.delivery_latency.p99=2" in out
         assert "REGRESSION" in out
 
     def test_exit_zero_without_fail_on(self):

@@ -74,7 +74,7 @@ class TestPrometheus:
         registry.gauge("host.neighbors").set(2)
         registry.gauge("host.neighbors").set(5)
         for value in (1.0, 2.0, 3.0, 4.0):
-            registry.histogram("cs.call_seconds").observe(value)
+            registry.histogram("paradigm.cs.seconds").observe(value)
         registry.series("battery").record(0.0, 90.0)
         text = metrics_to_prometheus(registry)
         assert "# TYPE repro_net_messages counter" in text
@@ -84,9 +84,9 @@ class TestPrometheus:
         assert samples[("repro_host_neighbors", flat)] == 5.0
         assert samples[("repro_host_neighbors_min", flat)] == 2.0
         assert samples[("repro_host_neighbors_max", flat)] == 5.0
-        assert samples[("repro_cs_call_seconds_count", flat)] == 4.0
-        assert samples[("repro_cs_call_seconds_sum", flat)] == 10.0
-        key = ("repro_cs_call_seconds", (("quantile", "0.5"),))
+        assert samples[("repro_paradigm_cs_seconds_count", flat)] == 4.0
+        assert samples[("repro_paradigm_cs_seconds_sum", flat)] == 10.0
+        key = ("repro_paradigm_cs_seconds", (("quantile", "0.5"),))
         assert samples[key] == 2.5
         assert samples[("repro_battery", flat)] == 90.0
 

@@ -70,7 +70,7 @@ class TestCapture:
         assert report.env["nodes"] == 2
         assert report.env["sim_time"] == world.now
         assert report.params == {"calls": 3}
-        assert report.metrics["cs.calls"] == 3
+        assert report.metrics["paradigm.cs.calls"] == 3
         assert report.kind_counts  # trace was enabled
         assert report.profile["events_processed"] > 0
         assert report.spans

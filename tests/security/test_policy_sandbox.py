@@ -12,7 +12,6 @@ from repro.security import (
     OP_ACCEPT_REV,
     OP_SERVE_COD,
     QuotaGrant,
-    Sandbox,
     SecurityPolicy,
     StrictProvider,
 )
@@ -94,40 +93,42 @@ class TestExecutionContext:
             context.service("missing")
 
 
+def run_once(provider, guest, *args, grant=QuotaGrant()):
+    """One guest run in a fresh session of ``provider``."""
+    session = provider.open_session("guest", grant)
+    try:
+        return provider.execute(session, guest, *args)
+    finally:
+        provider.close_session(session)
+
+
 class TestSandbox:
     def test_successful_run(self):
-        sandbox = Sandbox("host")
-        context = ExecutionContext("host", "guest")
-
         def guest(ctx, x):
             ctx.charge(10)
             return x * 2
 
-        result = sandbox.run(guest, context, 21)
+        result = run_once(InProcessProvider("host"), guest, 21)
         assert result.ok and result.value == 42
         assert result.work_used == 10
 
     def test_guest_exception_contained(self):
-        sandbox = Sandbox("host")
-        context = ExecutionContext("host", "guest")
-
         def guest(ctx):
             raise ValueError("guest bug")
 
-        result = sandbox.run(guest, context)
+        result = run_once(InProcessProvider("host"), guest)
         assert not result.ok
         assert result.error_type == "ValueError"
         assert "guest bug" in result.error
 
     def test_budget_violation_reported(self):
         metrics = MetricsRegistry()
-        sandbox = Sandbox("host", metrics=metrics)
-        context = ExecutionContext("host", "guest", work_budget=5)
+        provider = InProcessProvider("host", metrics=metrics)
 
         def greedy(ctx):
             ctx.charge(10)
 
-        result = sandbox.run(greedy, context)
+        result = run_once(provider, greedy, grant=QuotaGrant(work_units=5))
         assert not result.ok
         assert result.error_type == "SandboxViolation"
         violations = metrics.counter(
@@ -138,20 +139,17 @@ class TestSandbox:
         assert metrics.counter("security.sandbox_violations").value == 1
 
     def test_cpu_seconds_mapping(self):
-        sandbox = Sandbox("host")
-        context = ExecutionContext("host", "guest")
-
         def guest(ctx):
             ctx.charge(1_000_000)
 
-        result = sandbox.run(guest, context)
+        result = run_once(InProcessProvider("host"), guest)
         assert result.cpu_seconds_reference == pytest.approx(1.0)
 
     def test_execution_counter(self):
         metrics = MetricsRegistry()
-        sandbox = Sandbox("host", metrics=metrics)
+        provider = InProcessProvider("host", metrics=metrics)
         for _ in range(3):
-            sandbox.run(lambda ctx: None, ExecutionContext("host", "guest"))
+            run_once(provider, lambda ctx: None)
         runs = metrics.counter(
             "security.sandbox_runs", labels={"node": "host"}
         )

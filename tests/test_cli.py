@@ -218,7 +218,7 @@ class TestWorldSummary:
         assert summary["world.nodes"] == 2.0
         assert summary["fleet.bytes_sent"] > 0
         assert summary["fleet.bytes_sent"] == summary["fleet.bytes_received"]
-        assert summary["cs.calls"] == 1
+        assert summary["paradigm.cs.calls"] == 1
 
 
 class TestBatteryCrash:
