@@ -225,7 +225,6 @@ def test_city_scale_round_beats_legacy_1k(benchmark):
         "legacy_round_seconds": legacy_round_s,
         "scaling_speedup": scaling_speedup,
         "topo.dirty_nodes": info["dirty_nodes"],
-        "topo.moves_elided": info["moves_elided"],
         "topo.revalidations": info["revalidations"],
         "routing.hier.hits": float(top_planner.stats["hits"]),
         "routing.hier.misses": float(top_planner.stats["misses"]),

@@ -91,9 +91,6 @@ class SpatialGrid:
         size = self.cell_size
         return (int(math.floor(position.x / size)), int(math.floor(position.y / size)))
 
-    # Kept as the internal spelling used before the cell API went public.
-    _cell_of = cell_of
-
     def position_of(self, item_id: str) -> Position:
         """Current indexed position of ``item_id`` (KeyError if absent)."""
         return self._positions[item_id]
@@ -110,30 +107,36 @@ class SpatialGrid:
             self.move(item_id, position)
             return
         self._positions[item_id] = position
-        self._cells.setdefault(self._cell_of(position), {})[item_id] = position
+        self._cells.setdefault(self.cell_of(position), {})[item_id] = position
 
-    def move(self, item_id: str, position: Position) -> None:
+    def move(
+        self, item_id: str, position: Position
+    ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """Re-bucket ``item_id`` at ``position``; returns its
+        ``(old_cell, new_cell)``.  An item not yet indexed is inserted
+        and reports its new cell as both."""
+        new_cell = self.cell_of(position)
         old = self._positions.get(item_id)
         if old is None:
             self.insert(item_id, position)
-            return
-        old_cell = self._cell_of(old)
-        new_cell = self._cell_of(position)
+            return (new_cell, new_cell)
+        old_cell = self.cell_of(old)
         self._positions[item_id] = position
         if old_cell == new_cell:
             self._cells[old_cell][item_id] = position
-            return
+            return (old_cell, new_cell)
         bucket = self._cells[old_cell]
         del bucket[item_id]
         if not bucket:
             del self._cells[old_cell]
         self._cells.setdefault(new_cell, {})[item_id] = position
+        return (old_cell, new_cell)
 
     def remove(self, item_id: str) -> None:
         position = self._positions.pop(item_id, None)
         if position is None:
             return
-        cell = self._cell_of(position)
+        cell = self.cell_of(position)
         bucket = self._cells[cell]
         del bucket[item_id]
         if not bucket:
@@ -148,7 +151,7 @@ class SpatialGrid:
         self.cell_size = cell_size
         self._cells = {}
         for item_id, position in items:
-            self._cells.setdefault(self._cell_of(position), {})[item_id] = position
+            self._cells.setdefault(self.cell_of(position), {})[item_id] = position
 
     def near(self, position: Position, radius: float) -> List[str]:
         """Ids of all items within ``radius`` metres of ``position``.

@@ -73,13 +73,10 @@ class ConnectivityMonitor:
             return
         if self._scanned_epoch is not None:
             # The epoch moved, but maybe nowhere near us: if no change
-            # since our last scan touched a cell within one ring of our
-            # cell, no link of ours can have changed (cell size covers
-            # every radio range, and movers dirty both old and new
-            # cells), so the neighbour set is provably identical.
-            ring = self.network._dirty_ring(self._scanned_epoch)
-            if ring is not None and (
-                self.network.grid.cell_of(self.node.position) not in ring
+            # since our last scan lies within one grid ring of our cell,
+            # the neighbour set is provably identical.
+            if self.network.untouched_since(
+                self._scanned_epoch, self.node.position
             ):
                 self._scanned_epoch = epoch
                 if self.metrics is not None:

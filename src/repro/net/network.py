@@ -20,7 +20,7 @@ queries touch only nearby nodes instead of the whole registry.  The
 cached fast paths are bit-identical to the naive sweeps kept in
 :mod:`repro.net.reference` (property-tested under random mobility).
 
-Three mechanisms make the fabric scale past ~10k nodes (see
+Two mechanisms make the fabric scale past ~10k nodes (see
 docs/PERFORMANCE.md, "City-scale routing"):
 
 * **Implicit backbone clique.**  Every pair of backbone-attached nodes
@@ -31,12 +31,11 @@ docs/PERFORMANCE.md, "City-scale routing"):
 * **Dirty log.**  Each epoch bump records *which* node (and which grid
   cells) changed.  Consumers — the per-pair/per-node caches below, the
   routing tables, the connectivity monitor — ask
-  :meth:`dirty_since`/:meth:`dirty_cells_since` and repair only what a
-  dirty node can have touched instead of recomputing the world.
-* **Move elision.**  A ``move_to`` that provably changes no link
-  predicate (same grid cell, identical in-range sets at every radio
-  range the node carries) updates the grid and *does not* bump the
-  epoch at all: mobility jitter inside a cell is free.
+  :meth:`dirty_since`/:meth:`dirty_cells_since`/:meth:`untouched_since`
+  and repair only what a dirty node can have touched instead of
+  recomputing the world.  A ``move_to`` costs one grid re-bucket plus
+  one journal append; whether it changed anything is decided only when
+  someone reads connectivity near it.
 """
 
 from __future__ import annotations
@@ -343,15 +342,12 @@ class Network:
             "invalidations": 0,
             "revalidations": 0,
             "dirty_nodes": 0,
-            "moves_elided": 0,
         }
         #: Append-only (epoch, node_id-or-None, cells) journal of what
         #: each bump touched; ``None`` node means a global change.
         self._dirty_log: List[Tuple[int, Optional[str], Tuple[Cell, ...]]] = []
         #: Epochs at or below this fell off the journal.
         self._dirty_floor = 0
-        #: Memoised dirty-ring answers per from-epoch (cleared on bump).
-        self._dirty_ring_cache: Dict[int, Optional[FrozenSet[Cell]]] = {}
         #: Optional admission predicate over (sender id, receiver id):
         #: when set, pairs it rejects have no links at all — the
         #: injection point :mod:`repro.faults` uses to model network
@@ -415,7 +411,6 @@ class Network:
         cells it can have affected are appended to the log.
         """
         self._epoch += 1
-        self._dirty_ring_cache.clear()
         log = self._dirty_log
         log.append((self._epoch, node_id, cells))
         if node_id is not None:
@@ -468,45 +463,31 @@ class Network:
             cells.extend(entry_cells)
         return (self._epoch, frozenset(cells))
 
-    def _dirty_ring(self, epoch: int) -> Optional[FrozenSet[Cell]]:
-        """Dirty cells since ``epoch`` dilated by one ring, memoised.
+    def untouched_since(self, epoch: int, *positions: Position) -> bool:
+        """True when no change after ``epoch`` can reach ``positions``.
 
-        A cached per-node/per-pair answer computed at ``epoch`` is
-        still valid iff none of its endpoints' cells is in this set
-        (``None`` = global change, nothing survives).
+        An answer about nodes at ``positions`` computed at ``epoch``
+        still holds iff no journalled change since lies within one grid
+        ring of any of their cells (cell size ≥ every radio range, and
+        movers dirty both old and new cells).  Walks the journal
+        newest-first and stops at the first nearby, global, or
+        aged-out entry, or at ``epoch`` itself.
         """
-        cached = self._dirty_ring_cache.get(epoch, _MISSING)
-        if cached is not _MISSING:
-            return cached  # type: ignore[return-value]
-        _, cells = self.dirty_cells_since(epoch)
-        ring: Optional[FrozenSet[Cell]]
-        if cells is None:
-            ring = None
-        else:
-            ring = frozenset(
-                (cx + dx, cy + dy)
-                for cx, cy in cells
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-            )
-        self._dirty_ring_cache[epoch] = ring
-        return ring
-
-    def _entry_fresh(self, entry_epoch: int, *positions: Position) -> bool:
-        """True when a tagged cache entry provably still holds.
-
-        The entry is about nodes at ``positions``; it survives a newer
-        epoch iff no dirty cell lies within one ring of any of them —
-        no mutation since could have touched a link predicate whose
-        endpoints sit there.
-        """
-        ring = self._dirty_ring(entry_epoch)
-        if ring is None:
+        if epoch >= self._epoch:
+            return True
+        if epoch < self._dirty_floor:
             return False
         cell_of = self._grid.cell_of
-        for position in positions:
-            if cell_of(position) in ring:
+        cells = [cell_of(position) for position in positions]
+        for entry_epoch, node_id, entry_cells in reversed(self._dirty_log):
+            if entry_epoch <= epoch:
+                return True
+            if node_id is None:
                 return False
+            for ex, ey in entry_cells:
+                for cx, cy in cells:
+                    if -1 <= ex - cx <= 1 and -1 <= ey - cy <= 1:
+                        return False
         return True
 
     def cache_info(self) -> Dict[str, float]:
@@ -547,51 +528,11 @@ class Network:
     def _node_moved(self, node: NetworkNode) -> None:
         if self.nodes.get(node.id) is not node:
             return
-        grid = self._grid
-        old = grid.position_of(node.id)
-        new = node.position
-        old_cell = grid.cell_of(old)
-        new_cell = grid.cell_of(new)
-        if old_cell == new_cell and self._in_range_sets_unchanged(
-            node, old, new
-        ):
-            # The move provably changed no link predicate: every pair
-            # distance stays on the same side of every relevant range
-            # threshold.  Track the position, skip the epoch entirely.
-            grid.move(node.id, new)
-            self.cache_stats["moves_elided"] += 1
-            return
-        grid.move(node.id, new)
+        old_cell, new_cell = self._grid.move(node.id, node.position)
         if old_cell == new_cell:
             self._bump(node.id, (new_cell,))
         else:
             self._bump(node.id, (old_cell, new_cell))
-
-    def _in_range_sets_unchanged(
-        self, node: NetworkNode, old: Position, new: Position
-    ) -> bool:
-        """True when no in-range set at any of ``node``'s radio ranges
-        differs between ``old`` and ``new``.
-
-        Distance only enters link computation through ``distance ≤
-        range_m`` tests at the ranges of technologies this node carries
-        (shared-technology ad-hoc links and access-point coverage both
-        use the node's own technology's range), so unchanged in-range
-        id sets at each such range mean unchanged connectivity.
-        """
-        grid = self._grid
-        ranges = {
-            interface.technology.range_m
-            for interface in node.interfaces.values()
-            if interface.technology.range_m > 0.0
-        }
-        exclude = {node.id}
-        for radius in ranges:
-            before = set(grid.near(old, radius)) - exclude
-            after = set(grid.near(new, radius)) - exclude
-            if before != after:
-                return False
-        return True
 
     def _topology_changed(self, node: NetworkNode) -> None:
         if self.nodes.get(node.id) is node:
@@ -638,7 +579,7 @@ class Network:
                 if entry_epoch == self._epoch:
                     self.cache_stats["hits"] += 1
                     return links
-                if self._entry_fresh(entry_epoch, a.position, b.position):
+                if self.untouched_since(entry_epoch, a.position, b.position):
                     self._links_cache[key] = (self._epoch, links)
                     self.cache_stats["hits"] += 1
                     self.cache_stats["revalidations"] += 1
@@ -705,7 +646,7 @@ class Network:
                 entry_epoch, covered = entry
                 if entry_epoch == self._epoch:
                     return covered
-                if self._entry_fresh(entry_epoch, node.position):
+                if self.untouched_since(entry_epoch, node.position):
                     self._coverage_cache[key] = (self._epoch, covered)
                     self.cache_stats["revalidations"] += 1
                     return covered
@@ -761,7 +702,7 @@ class Network:
                 if entry_epoch == self._epoch:
                     self.cache_stats["hits"] += 1
                     return cached
-                if self._entry_fresh(entry_epoch, node.position):
+                if self.untouched_since(entry_epoch, node.position):
                     self._neighbors_cache[key] = (self._epoch, cached)
                     self.cache_stats["hits"] += 1
                     self.cache_stats["revalidations"] += 1

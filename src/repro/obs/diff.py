@@ -103,7 +103,7 @@ DEFAULT_DIRECTIONS: Tuple[Tuple[str, Optional[str]], ...] = (
     # Routing-fabric counters (repro.net.routing): tree reuse should
     # grow; repairs/flushes/planner-ladder tallies are workload shape
     # (a repair is the system *working*, not failing).  Elided work —
-    # moves and scans proven no-ops — is pure savings.
+    # scans proven no-ops — is pure savings.
     ("routing.tree_hits", "higher"),
     ("routing.tree_misses", "lower"),
     ("routing.repairs", None),
@@ -111,7 +111,6 @@ DEFAULT_DIRECTIONS: Tuple[Tuple[str, Optional[str]], ...] = (
     ("routing.hier.hits", "higher"),
     ("routing.hier.misses", "lower"),
     ("routing.hier.*", None),
-    ("*moves_elided*", "higher"),
     ("*scans_elided*", "higher"),
     ("*revalidations*", None),
     # Higher is better: useful work and cache effectiveness.

@@ -267,8 +267,8 @@ class TestTopologyEpoch:
         a = network.add_node(mobile(env, "a", 0, 0))
         network.add_node(mobile(env, "b", 50, 0, techs=[WIFI_ADHOC, GPRS]))
         epoch = network.topology_epoch
-        # Out-of-range, cross-cell move; small in-cell jitter that
-        # changes no in-range set is elided (see TestMoveElision).
+        # Out-of-range, cross-cell move; in-cell jitter bumps too
+        # (see TestMoveElision).
         a.move_to(Position(200, 0))
         assert network.topology_epoch > epoch
         a.move_to(Position(0, 0))

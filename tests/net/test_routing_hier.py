@@ -282,18 +282,30 @@ class TestAdjacencyDownNodes:
 
 
 class TestMoveElision:
-    def test_in_cell_jitter_elides_epoch(self):
+    """No move is elided: every real move bumps the epoch, and cached
+    answers far from the mover are revalidated when next read."""
+
+    def test_in_cell_jitter_bumps_and_revalidates(self):
+        from repro.net import reference as ref
+
         env, network = make_network()
         a = network.add_node(adhoc_node(env, "a", 10, 10))
         network.add_node(adhoc_node(env, "b", 60, 10))
-        neighbors = network.neighbors(a)
+        # Cell (3, 0): two cells clear of a's cell (0, 0).
+        far = network.add_node(adhoc_node(env, "far", 310, 10))
+        network.add_node(adhoc_node(env, "far2", 360, 10))
+        network.neighbors(a)
+        far_neighbors = network.neighbors(far)
         epoch = network.topology_epoch
         a.move_to(Position(20, 10))  # same cell, b still in range
-        assert network.topology_epoch == epoch
-        assert network.cache_stats["moves_elided"] == 1
-        assert network.neighbors(a) is neighbors  # caches untouched
-        # The grid still tracked the move.
+        assert network.topology_epoch == epoch + 1
         assert network.grid.position_of("a") == Position(20, 10)
+        assert list(network.neighbors(a)) == ref.naive_neighbors(network, a)
+        assert [n.id for n in network.neighbors(a)] == ["b"]
+        stats = dict(network.cache_stats)
+        assert network.neighbors(far) is far_neighbors
+        assert network.cache_stats["revalidations"] == stats["revalidations"] + 1
+        assert network.cache_stats["misses"] == stats["misses"]
 
     def test_range_crossing_move_still_bumps(self):
         env, network = make_network()

@@ -8,10 +8,13 @@ mutations so the caches are populated, invalidated, and repopulated —
 the exact pattern a live simulation produces.
 """
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
     BLUETOOTH,
+    ConnectivityMonitor,
     GPRS,
     Network,
     NetworkNode,
@@ -210,3 +213,163 @@ class TestTopologyCacheCoherence:
         _check_live_queries(network, nodes)
         _apply(env, network, nodes, op)
         _check_live_queries(network, nodes)
+
+
+#: Nodes packed along a strip so many pairs sit near the 100 m Wi-Fi
+#: and 10 m Bluetooth thresholds: (x, y, tech-set index, fixed, attach).
+strip_node = st.tuples(
+    st.floats(0, 300),
+    st.floats(0, 40),
+    st.integers(0, len(TECH_SETS) - 1),
+    st.booleans(),
+    st.booleans(),
+)
+
+#: (node index, dx, dy, read afterwards?) — a jitter step kept inside
+#: the node's current grid cell; unread steps pile up in the journal.
+jitter_step = st.tuples(
+    st.integers(0, 9),
+    st.floats(-15, 15),
+    st.floats(-15, 15),
+    st.sampled_from([True, True, False]),
+)
+
+
+def _in_cell_step(network, node, dx, dy):
+    """``node``'s position moved by (dx, dy), clamped to its cell."""
+    size = network.grid.cell_size
+    cx, cy = network.grid.cell_of(node.position)
+    top_x = math.nextafter((cx + 1) * size, -math.inf)
+    top_y = math.nextafter((cy + 1) * size, -math.inf)
+    return Position(
+        min(max(node.position.x + dx, cx * size), top_x),
+        min(max(node.position.y + dy, cy * size), top_y),
+    )
+
+
+def _check_reads(network, nodes, monitors):
+    for node, monitor in zip(nodes, monitors):
+        expected = ref.naive_neighbors(network, node)
+        assert list(network.neighbors(node)) == expected
+        assert monitor.scan_now() == {other.id for other in expected}
+        for other in nodes:
+            if other is not node:
+                assert list(
+                    network.links_between(node, other)
+                ) == ref.naive_links_between(network, node, other)
+
+
+def _ring_brute_force(network, epoch, positions):
+    """Freshness by dilating ``dirty_cells_since(epoch)`` one ring."""
+    _, cells = network.dirty_cells_since(epoch)
+    if cells is None:
+        return False
+    ring = {
+        (cx + dx, cy + dy)
+        for cx, cy in cells
+        for dx in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+    }
+    return all(network.grid.cell_of(p) not in ring for p in positions)
+
+
+#: Journal mutations: a move anywhere, an interface toggle (a one-cell
+#: entry), or a link-filter swap (a global entry).
+journal_op = st.one_of(
+    st.tuples(
+        st.just("move"), st.integers(0, 9), st.floats(0, 700), st.floats(0, 700)
+    ),
+    st.tuples(st.just("toggle"), st.integers(0, 9)),
+    st.tuples(st.just("global")),
+)
+
+
+class TestInCellJitter:
+    """Small in-cell steps crossing range thresholds: every move bumps
+    the epoch, and the journal walk must still keep stale answers out."""
+
+    @given(
+        st.lists(strip_node, min_size=2, max_size=5),
+        st.lists(jitter_step, min_size=1, max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cached_reads_match_naive_after_jitter(self, specs, steps):
+        env = Environment()
+        network = Network(env)
+        nodes = [
+            _make_node(env, network, index, spec)
+            for index, spec in enumerate(specs)
+        ]
+        monitors = [ConnectivityMonitor(env, network, node) for node in nodes]
+        _check_reads(network, nodes, monitors)
+        for number, (index, dx, dy, read) in enumerate(steps, start=1):
+            node = nodes[index % len(nodes)]
+            before, epoch = node.position, network.topology_epoch
+            node.move_to(_in_cell_step(network, node, dx, dy))
+            moved = node.position != before
+            assert network.topology_epoch == epoch + moved
+            if read or number == len(steps):
+                _check_reads(network, nodes, monitors)
+
+
+class TestJournalWalk:
+    @given(
+        st.lists(strip_node, min_size=1, max_size=5),
+        st.lists(journal_op, min_size=1, max_size=24),
+        st.sampled_from([4, 8, Network.DIRTY_LOG_CAP]),
+        st.lists(
+            st.tuples(st.floats(0, 700), st.floats(0, 700)),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_walk_equals_dilated_ring(self, specs, ops, cap, points):
+        env = Environment()
+        network = Network(env)
+        network.DIRTY_LOG_CAP = cap  # small caps exercise the floor
+        nodes = [
+            _make_node(env, network, index, spec)
+            for index, spec in enumerate(specs)
+        ]
+        for op in ops:
+            if op[0] == "global":
+                network.set_link_filter(None)
+                continue
+            node = nodes[op[1] % len(nodes)]
+            if op[0] == "move":
+                node.move_to(Position(op[2], op[3]))
+            else:
+                interface = next(iter(node.interfaces.values()))
+                if interface.enabled:
+                    interface.disable()
+                else:
+                    interface.enable()
+        positions = [Position(x, y) for x, y in points]
+        for epoch in range(network.topology_epoch + 2):
+            assert network.untouched_since(epoch, *positions) == (
+                _ring_brute_force(network, epoch, positions)
+            )
+
+    def test_global_entry_and_floor_answer_stale(self):
+        env = Environment()
+        network = Network(env)
+        network.DIRTY_LOG_CAP = 4
+        mover = network.add_node(
+            NetworkNode(env, "mover", Position(0, 0), technologies=[WIFI_ADHOC])
+        )
+        far = Position(5000, 5000)
+        epoch = network.topology_epoch
+        mover.move_to(Position(10, 0))
+        assert network.untouched_since(epoch, far)
+        network.set_link_filter(None)
+        assert not network.untouched_since(epoch, far)
+        after_global = network.topology_epoch
+        for step in range(1, 6):
+            mover.move_to(Position(10 + step, 0))
+        # The global entry aged out of the 4-entry journal: the floor
+        # alone must still answer "stale" for the older epoch.
+        assert epoch < network._dirty_floor
+        assert not network.untouched_since(epoch, far)
+        assert network.untouched_since(network.topology_epoch, far)
+        assert network.untouched_since(after_global + 4, far)
