@@ -92,6 +92,36 @@ def chaos_task(name: str = "chaos.echo") -> InvocationTask:
     )
 
 
+#: Clients beyond the first ten sit on these rows inside the 90 × 40 m
+#: box between the client line (y = 0) and the servers (y = 40).
+_INNER_ROWS_Y = (10.0, 20.0, 30.0)
+
+
+def fleet_positions(
+    clients: int, servers: int
+) -> Tuple[List[Position], List[Position]]:
+    """Where :func:`build_fleet` places each client and server.
+
+    Clients 0–9 stand 10 m apart on the line y = 0 and servers 10 m
+    apart on y = 40.  Further clients fill :data:`_INNER_ROWS_Y`
+    column by column, evenly spread over x in (0, 90).  Every point of
+    the 90 × 40 m box is within its 98.5 m diagonal of every other, so
+    any number of clients stays in mutual Wi-Fi ad-hoc range.
+    """
+    line = min(clients, 10)
+    client_positions = [Position(10.0 * index, 0.0) for index in range(line)]
+    inner = clients - line
+    rows = len(_INNER_ROWS_Y)
+    columns = -(-inner // rows)
+    for index in range(inner):
+        column, row = divmod(index, rows)
+        client_positions.append(
+            Position(90.0 * (column + 0.5) / columns, _INNER_ROWS_Y[row])
+        )
+    server_positions = [Position(10.0 * index, 40.0) for index in range(servers)]
+    return client_positions, server_positions
+
+
 def build_fleet(
     world: World,
     clients: int = 4,
@@ -106,30 +136,41 @@ def build_fleet(
     advertise it for discovery); everyone trusts everyone.
     ``server_policy`` overrides the servers' security policy (how
     hostile runs arm strict quota grants on the attack surface).
+    Raises ``ValueError`` when the layout (:func:`fleet_positions`)
+    leaves some pair out of range, as more than ten servers do.
     """
     task = task if task is not None else chaos_task()
+    client_positions, server_positions = fleet_positions(clients, servers)
+    placed = client_positions + server_positions
+    for index, a in enumerate(placed):
+        for b in placed[index + 1 :]:
+            if a.distance_to(b) > WIFI_ADHOC.range_m:
+                raise ValueError(
+                    f"fleet of {clients} clients and {servers} servers puts "
+                    f"{a} and {b} out of {WIFI_ADHOC.name} range"
+                )
     client_hosts = [
         standard_host(
             world,
             f"client-{index}",
-            Position(10.0 * index, 0.0),
+            position,
             [WIFI_ADHOC],
             cpu_speed=0.2,
         )
-        for index in range(clients)
+        for index, position in enumerate(client_positions)
     ]
     server_kwargs = {} if server_policy is None else {"policy": server_policy}
     server_hosts = [
         standard_host(
             world,
             f"server-{index}",
-            Position(10.0 * index, 40.0),
+            position,
             [WIFI_ADHOC],
             fixed=True,
             cpu_speed=2.0,
             **server_kwargs,
         )
-        for index in range(servers)
+        for index, position in enumerate(server_positions)
     ]
     mutual_trust(*client_hosts, *server_hosts)
     for server in server_hosts:

@@ -35,6 +35,26 @@ def _payload_size(value: object, depth: int) -> int:
         return DEFAULT_OBJECT_BYTES
     if value is None:
         return 1
+    # Exact built-in types (the bulk of agent state) skip the attribute
+    # probe and ABC checks below, which size them the same way.
+    # Subclasses may declare ``size_bytes``, so they take the generic path.
+    kind = type(value)
+    if kind is str:
+        return len(value.encode("utf-8"))
+    if kind is int or kind is float:
+        return _NUMBER_BYTES
+    if kind is bool:
+        return 1
+    if kind is list or kind is tuple:
+        return (
+            sum(_payload_size(item, depth + 1) for item in value)
+            + _OBJECT_OVERHEAD
+        )
+    if kind is dict:
+        return sum(
+            _payload_size(key, depth + 1) + _payload_size(item, depth + 1)
+            for key, item in value.items()
+        ) + _OBJECT_OVERHEAD
     declared = getattr(value, "size_bytes", None)
     if isinstance(declared, int) and not isinstance(value, (bool, int)):
         return declared + _OBJECT_OVERHEAD

@@ -1,17 +1,34 @@
 """Mobility models driving node positions.
 
-Each model is a kernel process that updates node positions in small time
-steps; connectivity queries pick the movement up immediately.  Models
-draw from named RNG streams, so a seeded run replays identically.
+Random-waypoint nodes move on one re-armable kernel :class:`Timer`
+each; trace-driven paths are kernel processes.  Both update node
+positions in small time steps, and connectivity queries pick the
+movement up at their next read.  Models draw from named RNG streams,
+so a seeded run replays identically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Sequence, Tuple
+from functools import partial
+from math import hypot
+from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
-from ..sim import Environment, Process, RandomStreams
+from ..sim import Environment, Process, RandomStreams, Timer
 from .geometry import Area, Position
 from .node import NetworkNode
+
+
+class _Leg:
+    """One node's walk state between two firings of its timer."""
+
+    __slots__ = ("node", "rng", "destination", "step")
+
+    def __init__(self, node: NetworkNode, rng) -> None:
+        self.node = node
+        self.rng = rng
+        #: None while the node pauses or has not started its first leg.
+        self.destination: Optional[Position] = None
+        self.step = 0.0
 
 
 class RandomWaypoint:
@@ -20,6 +37,12 @@ class RandomWaypoint:
     Each node repeatedly: picks a uniform destination in ``area``, walks
     there at a uniform-random speed from ``speed_range`` (m/s), then
     pauses for a uniform-random time from ``pause_range`` (s).
+
+    Each node has one :class:`~repro.sim.Timer`, armed once per tick or
+    pause.  A firing draws from the node's RNG stream and arms the timer
+    at exactly the points a ``yield env.timeout(...)`` walk resumes and
+    yields (:func:`repro.net.reference.reference_random_waypoint`), so
+    the kernel orders every tick against other events identically.
     """
 
     def __init__(
@@ -41,26 +64,61 @@ class RandomWaypoint:
         self.speed_range = speed_range
         self.pause_range = pause_range
         self.tick = tick
-        self.processes: List[Process] = []
         for node in nodes:
             rng = streams.stream(f"mobility.{node.id}")
             if not area.contains(node.position):
                 node.move_to(area.clamp(node.position))
-            self.processes.append(
-                env.process(self._walk(node, rng), name=f"rwp:{node.id}")
+            timer = Timer(
+                env, partial(self._walk, _Leg(node, rng)), name=f"rwp:{node.id}"
             )
+            # Urgent, at construction time: where a process's start
+            # event would sit.
+            timer.arm(0.0, urgent=True)
 
-    def _walk(self, node: NetworkNode, rng) -> Generator:
+    def _walk(self, leg: _Leg, timer: Timer) -> None:
+        """One firing: at most one step, then the next leg's draws if
+        the node arrived, then exactly one arm (tick or pause)."""
+        node = leg.node
+        destination = leg.destination
+        if destination is not None:
+            # One tick of the leg, computed as Position.towards does.
+            position = node.position
+            x, y = position.x, position.y
+            tx, ty = destination.x, destination.y
+            gap = hypot(x - tx, y - ty)
+            if gap <= leg.step or gap == 0.0:
+                node.move_to(destination)
+            else:
+                fraction = leg.step / gap
+                x += (tx - x) * fraction
+                y += (ty - y) * fraction
+                node.move_to(Position(x, y))
+                if x != tx or y != ty:
+                    timer.arm(self.tick)
+                    return
+            if self._pause(leg, timer):
+                return
+        # Draw legs until one has length or a pause ends the firing.
+        rng = leg.rng
         while True:
             destination = self.area.random_position(rng)
-            speed = rng.uniform(*self.speed_range)
-            step = speed * self.tick
-            while node.position != destination:
-                yield self.env.timeout(self.tick)
-                node.move_to(node.position.towards(destination, step))
-            pause = rng.uniform(*self.pause_range)
-            if pause > 0:
-                yield self.env.timeout(pause)
+            leg.step = rng.uniform(*self.speed_range) * self.tick
+            position = node.position
+            if position.x != destination.x or position.y != destination.y:
+                leg.destination = destination
+                timer.arm(self.tick)
+                return
+            if self._pause(leg, timer):
+                return
+
+    def _pause(self, leg: _Leg, timer: Timer) -> bool:
+        """Draw the pause after an arrival; arm it if it is positive."""
+        pause = leg.rng.uniform(*self.pause_range)
+        if pause > 0:
+            leg.destination = None
+            timer.arm(pause)
+            return True
+        return False
 
 
 class PathMobility:

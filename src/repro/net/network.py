@@ -33,9 +33,11 @@ docs/PERFORMANCE.md, "City-scale routing"):
   routing tables, the connectivity monitor — ask
   :meth:`dirty_since`/:meth:`dirty_cells_since`/:meth:`untouched_since`
   and repair only what a dirty node can have touched instead of
-  recomputing the world.  A ``move_to`` costs one grid re-bucket plus
-  one journal append; whether it changed anything is decided only when
-  someone reads connectivity near it.
+  recomputing the world.  A ``move_to`` only records the node as
+  *unsettled*; the next read of the grid or the journal re-buckets each
+  pending node once and journals its last-indexed and current cells,
+  and whether the move changed anything is decided only when someone
+  reads connectivity near it.
 """
 
 from __future__ import annotations
@@ -348,6 +350,10 @@ class Network:
         self._dirty_log: List[Tuple[int, Optional[str], Tuple[Cell, ...]]] = []
         #: Epochs at or below this fell off the journal.
         self._dirty_floor = 0
+        #: Nodes moved since the last read, in first-move order; their
+        #: ``position`` is current but the grid and journal catch up in
+        #: :meth:`_settle`.
+        self._unsettled: Dict[str, NetworkNode] = {}
         #: Optional admission predicate over (sender id, receiver id):
         #: when set, pairs it rejects have no links at all — the
         #: injection point :mod:`repro.faults` uses to model network
@@ -390,6 +396,8 @@ class Network:
     @property
     def grid(self) -> SpatialGrid:
         """The live spatial index (read-only use by routers/monitors)."""
+        if self._unsettled:
+            self._settle()
         return self._grid
 
     # -- topology epoch -------------------------------------------------------
@@ -398,6 +406,8 @@ class Network:
     def topology_epoch(self) -> int:
         """Monotonic counter; unchanged epoch guarantees identical
         answers from every connectivity query."""
+        if self._unsettled:
+            self._settle()
         return self._epoch
 
     def _bump(
@@ -408,8 +418,11 @@ class Network:
         ``node_id=None`` records a *global* change (grid rebuild, link
         filter swap): every dirty query until consumers resync answers
         "everything".  Otherwise the single dirty node and the grid
-        cells it can have affected are appended to the log.
+        cells it can have affected are appended to the log.  Pending
+        moves are journalled first, so entries stay in mutation order.
         """
+        if self._unsettled:
+            self._settle()
         self._epoch += 1
         log = self._dirty_log
         log.append((self._epoch, node_id, cells))
@@ -428,6 +441,8 @@ class Network:
         global mutation happened, or ``epoch`` predates the journal).
         An up-to-date caller gets an empty frozenset.
         """
+        if self._unsettled:
+            self._settle()
         if epoch >= self._epoch:
             return (self._epoch, frozenset())
         if epoch < self._dirty_floor:
@@ -450,6 +465,8 @@ class Network:
         dirty cell within one ring of mine" certifies an unchanged
         neighbourhood (cell size ≥ every radio range).
         """
+        if self._unsettled:
+            self._settle()
         if epoch >= self._epoch:
             return (self._epoch, frozenset())
         if epoch < self._dirty_floor:
@@ -473,6 +490,8 @@ class Network:
         newest-first and stops at the first nearby, global, or
         aged-out entry, or at ``epoch`` itself.
         """
+        if self._unsettled:
+            self._settle()
         if epoch >= self._epoch:
             return True
         if epoch < self._dirty_floor:
@@ -492,6 +511,8 @@ class Network:
 
     def cache_info(self) -> Dict[str, float]:
         """Flat snapshot of cache effectiveness for reports/benchmarks."""
+        if self._unsettled:
+            self._settle()
         info = {
             "epoch": float(self._epoch),
             "grid_cell_m": self._grid.cell_size,
@@ -526,13 +547,25 @@ class Network:
     # Mutation hooks, called from NetworkNode/Interface.
 
     def _node_moved(self, node: NetworkNode) -> None:
-        if self.nodes.get(node.id) is not node:
-            return
-        old_cell, new_cell = self._grid.move(node.id, node.position)
-        if old_cell == new_cell:
-            self._bump(node.id, (new_cell,))
-        else:
-            self._bump(node.id, (old_cell, new_cell))
+        self._unsettled[node.id] = node
+
+    def _settle(self) -> None:
+        """Re-bucket and journal every node moved since the last read.
+
+        One entry per pending node, with its last-indexed and current
+        cells.  Cells it passed through in between were never observed
+        by any cached answer, so leaving them out cannot make one wrong.
+        """
+        pending, self._unsettled = self._unsettled, {}
+        move = self._grid.move
+        for node_id, node in pending.items():
+            if self.nodes.get(node_id) is not node:
+                continue
+            old_cell, new_cell = move(node_id, node.position)
+            if old_cell == new_cell:
+                self._bump(node_id, (new_cell,))
+            else:
+                self._bump(node_id, (old_cell, new_cell))
 
     def _topology_changed(self, node: NetworkNode) -> None:
         if self.nodes.get(node.id) is node:
@@ -551,6 +584,8 @@ class Network:
             self._topology_changed(node)
 
     def _validate_caches(self) -> None:
+        if self._unsettled:
+            self._settle()
         if self._cache_epoch != self._epoch:
             # Whole-graph products clear; tagged per-node/per-pair
             # entries are revalidated individually at read time.
@@ -651,7 +686,7 @@ class Network:
                     self.cache_stats["revalidations"] += 1
                     return covered
         covered = False
-        for other_id in self._grid.near(node.position, technology.range_m):
+        for other_id in self.grid.near(node.position, technology.range_m):
             if other_id == node.id:
                 continue
             other = self.nodes[other_id]
@@ -721,7 +756,7 @@ class Network:
                 radius = tech.range_m
         found: List[NetworkNode] = []
         if radius >= 0.0:
-            candidates = self._grid.near(node.position, radius)
+            candidates = self.grid.near(node.position, radius)
             candidates.sort(key=self._order.__getitem__)
             for other_id in candidates:
                 if other_id == node.id:

@@ -1,4 +1,4 @@
-"""Naive reference implementations of the topology queries.
+"""Naive reference implementations of the topology queries and mobility.
 
 These are the original O(N²)-sweep algorithms :class:`~repro.net.network.Network`
 used before topology-epoch caching and the spatial index were added.
@@ -9,12 +9,19 @@ after arbitrary mobility/churn interleavings and
 
 Everything here reads only public node state (positions, interfaces,
 ``up`` flags), never the network's caches.
+
+:func:`reference_random_waypoint` is the generator-process walk
+:class:`~repro.net.mobility.RandomWaypoint` ran before it moved onto a
+kernel timer; the timer model must produce the same positions at the
+same kernel sequence numbers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Generator, Iterable, List, Optional, Set, Tuple
 
+from ..sim import Environment, Process, RandomStreams
+from .geometry import Area
 from .network import Link, Network, _backbone_link, _direct_link
 from .node import Interface, NetworkNode
 from .technologies import LinkTechnology
@@ -160,3 +167,43 @@ def naive_shortest_path(
                 next_frontier.append(neighbor)
         frontier = next_frontier
     return None
+
+
+def reference_random_waypoint(
+    env: Environment,
+    nodes: Iterable[NetworkNode],
+    area: Area,
+    streams: RandomStreams,
+    speed_range: Tuple[float, float] = (0.5, 2.0),
+    pause_range: Tuple[float, float] = (0.0, 10.0),
+    tick: float = 1.0,
+) -> List[Process]:
+    """Random waypoint as one generator process per node.
+
+    Same arguments, RNG streams and validation as
+    :class:`~repro.net.mobility.RandomWaypoint`; returns the processes.
+    """
+    if speed_range[0] <= 0:
+        raise ValueError("minimum speed must be positive")
+    if tick <= 0:
+        raise ValueError("tick must be positive")
+
+    def walk(node: NetworkNode, rng) -> Generator:
+        while True:
+            destination = area.random_position(rng)
+            speed = rng.uniform(*speed_range)
+            step = speed * tick
+            while node.position != destination:
+                yield env.timeout(tick)
+                node.move_to(node.position.towards(destination, step))
+            pause = rng.uniform(*pause_range)
+            if pause > 0:
+                yield env.timeout(pause)
+
+    processes: List[Process] = []
+    for node in nodes:
+        rng = streams.stream(f"mobility.{node.id}")
+        if not area.contains(node.position):
+            node.move_to(area.clamp(node.position))
+        processes.append(env.process(walk(node, rng), name=f"rwp:{node.id}"))
+    return processes

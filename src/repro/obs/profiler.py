@@ -11,8 +11,9 @@ callbacks are timed individually with ``perf_counter``; when detached
 (the default), the kernel pays a single ``is not None`` check per step.
 
 Labels: a :class:`~repro.sim.process.Process` named ``dispatch:host-a``
-or ``send#12`` is attributed to its prefix (``dispatch``, ``send``);
-non-process callbacks are attributed to the event's class name.
+or ``send#12`` is attributed to its prefix (``dispatch``, ``send``), and
+so is a :class:`~repro.sim.events.Timer` (``rwp:n3`` → ``rwp``); other
+callbacks are attributed to the event's class name.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..analysis.tables import render_table
+from ..sim.events import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.environment import Environment
@@ -89,10 +91,12 @@ class SimProfiler:
     def record_callback(
         self, event: "Event", callback: object, seconds: float
     ) -> None:
-        """Attribute one callback run: processes by name prefix, the
-        rest by the event's class."""
-        owner = getattr(callback, "__self__", None)
-        name = getattr(owner, "name", None)
+        """Attribute one callback run: processes and timers by name
+        prefix, the rest by the event's class."""
+        if isinstance(event, Timer):
+            name: object = event.name
+        else:
+            name = getattr(getattr(callback, "__self__", None), "name", None)
         if isinstance(name, str):
             label = _label_of(name)
         else:

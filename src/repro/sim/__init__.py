@@ -21,7 +21,7 @@ Quick taste::
 """
 
 from .environment import Environment
-from .events import AllOf, AnyOf, Condition, Event, Timeout
+from .events import AllOf, AnyOf, Condition, Event, Timeout, Timer
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
 from .process import Process
 from .rng import RandomStreams, derive_seed
@@ -44,6 +44,7 @@ __all__ = [
     "Store",
     "TimeSeries",
     "Timeout",
+    "Timer",
     "TraceLog",
     "TraceRecord",
     "derive_seed",

@@ -137,6 +137,51 @@ class Timeout(Event):
         return self._delay
 
 
+class Timer(Event):
+    """A re-armable kernel timer: one object, many firings.
+
+    :meth:`arm` pushes the timer onto the queue with the next sequence
+    number, exactly where a fresh :class:`Timeout` (or, with
+    ``urgent=True``, a process's start event) would sit, and each
+    firing calls ``callback(timer)``.  A periodic source that re-arms
+    from its callback therefore orders against other events as a
+    ``yield env.timeout(...)`` loop would, without allocating an event
+    or resuming a generator per firing.  Arm a timer at most once per
+    firing: two pending arms fire twice.
+
+    A timer is never *processed*, so nothing can wait on it: yielding
+    one from a process (or adding a callback) raises
+    :class:`~repro.errors.SimulationError`.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(
+        self,
+        env: "Environment",
+        callback: Callable[["Timer"], None],
+        name: str = "",
+    ) -> None:
+        super().__init__(env)
+        self.callbacks = [callback]
+        self._value = None
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"<Timer {self.name!r} at t={self.env.now:.6g}>"
+
+    def arm(self, delay: float, urgent: bool = False) -> None:
+        """Fire ``delay`` seconds from now (urgent: before normal events
+        scheduled for the same instant)."""
+        self.env.schedule(self, delay, urgent)
+
+    def add_callback(self, callback: Callable[["Event"], None]) -> None:
+        raise SimulationError(f"{self!r} cannot be waited on")
+
+    def _mark_processed(self) -> Optional[List[Callable[["Event"], None]]]:
+        return self.callbacks
+
+
 class Condition(Event):
     """Composite event over several child events.
 

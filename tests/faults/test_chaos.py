@@ -14,6 +14,12 @@ from repro.faults import (
     verify_retry_convergence,
 )
 
+import pytest
+
+from repro.core import World
+from repro.faults.chaos import build_fleet, fleet_positions
+from repro.net import Position, WIFI_ADHOC
+
 from .conftest import run
 
 
@@ -138,3 +144,28 @@ class TestWholeRunDeterminism:
         assert metrics["chaos.completion_rate"] >= 0.95
         assert "faults.crash" in metrics
         assert report["params"]["faults"] > 0
+
+
+class TestFleetGeometry:
+    """Fleet size alone must never look like fault damage."""
+
+    @pytest.mark.parametrize("clients", [8, 12, 24, 32])
+    def test_unfaulted_completion_is_full_at_every_size(self, clients):
+        for seed in (1, 2, 3):
+            outcome = run_chaos(seed=seed, clients=clients, plan=FaultPlan())
+            assert outcome.completion_rate == 1.0, (clients, seed)
+
+    def test_first_ten_clients_keep_the_line(self):
+        line, servers = fleet_positions(10, 2)
+        assert line == [Position(10.0 * index, 0.0) for index in range(10)]
+        assert servers == [Position(0.0, 40.0), Position(10.0, 40.0)]
+        larger, _ = fleet_positions(128, 2)
+        assert larger[:10] == line
+        everyone = larger + servers
+        assert max(
+            a.distance_to(b) for a in everyone for b in everyone
+        ) <= WIFI_ADHOC.range_m
+
+    def test_out_of_range_layout_is_rejected(self):
+        with pytest.raises(ValueError, match="out of 802.11b-adhoc range"):
+            build_fleet(World(seed=1), clients=2, servers=12)

@@ -12,6 +12,7 @@ from repro.net import (
     NetworkNode,
     Position,
     WIFI_ADHOC,
+    WIFI_INFRA,
     prefer_fast,
 )
 from repro.sim import Environment
@@ -333,6 +334,27 @@ class TestTopologyEpoch:
         assert links and not links[0].via_backbone
         # Loose nodes never pollute the pair cache.
         assert ("a", "ghost") not in network._links_cache
+
+    def test_unregistered_nodes_see_unread_moves(self):
+        env, network = make_network()
+        peer = network.add_node(mobile(env, "peer", 0, 0))
+        access_point = network.add_node(
+            NetworkNode(
+                env, "ap", Position(0, 0), technologies=[WIFI_INFRA], fixed=True
+            )
+        )
+        lan = network.add_node(server(env, "lan"))
+        ghost = mobile(env, "ghost", 300, 0, techs=[WIFI_ADHOC, WIFI_INFRA])
+        ghost.interface(WIFI_INFRA.name).attach()
+        assert network.neighbors(ghost) == ()
+        assert network.links_between(ghost, lan) == ()
+        # Each moves next to the loose node with no read in between: its
+        # uncached queries must still see the new positions.
+        access_point.move_to(Position(260, 0))
+        links = network.links_between(ghost, lan)
+        assert [link.via_backbone for link in links] == [True]
+        peer.move_to(Position(250, 0))
+        assert network.neighbors(ghost) == (peer,)
 
     def test_node_cannot_join_two_networks(self):
         env, network = make_network()

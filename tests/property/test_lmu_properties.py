@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) for the LMU layer invariants."""
 
 import string
+from collections.abc import Mapping, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import QuotaExceeded
+from repro.lmu.serializer import DEFAULT_OBJECT_BYTES
 from repro.lmu import (
     Codebase,
     Requirement,
@@ -191,7 +193,95 @@ json_like = st.recursive(
 )
 
 
+class _Flag(int):
+    """An ``int`` subclass: sized as a number, whatever it declares."""
+
+    size_bytes = 1_000
+
+
+class _Blob:
+    """An opaque object declaring its own size."""
+
+    def __init__(self, size):
+        self.size_bytes = size
+
+
+class _SizedList(list):
+    """A ``list`` subclass declaring its size, which then wins."""
+
+    size_bytes = 40
+
+
+def _generic_size(value):
+    """``estimate_size`` by the generic walk alone (no exact-type path)."""
+
+    def walk(value, depth):
+        if depth > 32:
+            return DEFAULT_OBJECT_BYTES
+        if value is None:
+            return 1
+        declared = getattr(value, "size_bytes", None)
+        if isinstance(declared, int) and not isinstance(value, (bool, int)):
+            return declared + 8
+        if isinstance(value, bool):
+            return 1
+        if isinstance(value, (int, float)):
+            return 8
+        if isinstance(value, bytes):
+            return len(value)
+        if isinstance(value, str):
+            return len(value.encode("utf-8"))
+        if isinstance(value, Mapping):
+            return sum(
+                walk(key, depth + 1) + walk(item, depth + 1)
+                for key, item in value.items()
+            ) + 8
+        if isinstance(value, (Sequence, set, frozenset)):
+            return sum(walk(item, depth + 1) for item in value) + 8
+        return DEFAULT_OBJECT_BYTES
+
+    return 8 + walk(value, 0)
+
+
+#: Nested data mixing the exact built-ins with subclasses and objects
+#: that declare ``size_bytes``.
+mixed_data = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**40), 2**40),
+        st.integers(0, 9).map(_Flag),
+        st.floats(allow_nan=False),
+        st.text(max_size=12),
+        st.binary(max_size=12),
+        st.integers(0, 500).map(_Blob),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(_SizedList),
+        st.dictionaries(
+            st.one_of(st.text(max_size=6), st.integers(), st.booleans()),
+            children,
+            max_size=4,
+        ),
+        st.frozensets(st.integers(), max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
 class TestSerializerProperties:
+    @given(mixed_data)
+    def test_exact_type_fast_path_equals_generic_walk(self, value):
+        assert estimate_size(value) == _generic_size(value)
+
+    def test_fast_path_keeps_the_nesting_cap(self):
+        value = "leaf"
+        for _ in range(40):
+            value = [value, {"k": (1, True)}]
+        assert estimate_size(value) == _generic_size(value)
+
     @given(json_like)
     def test_size_is_positive_and_deterministic(self, value):
         size = estimate_size(value)

@@ -367,9 +367,79 @@ class TestJournalWalk:
         after_global = network.topology_epoch
         for step in range(1, 6):
             mover.move_to(Position(10 + step, 0))
+            # A read settles the move: one journal entry per step.
+            network.topology_epoch
         # The global entry aged out of the 4-entry journal: the floor
         # alone must still answer "stale" for the older epoch.
         assert epoch < network._dirty_floor
         assert not network.untouched_since(epoch, far)
         assert network.untouched_since(network.topology_epoch, far)
         assert network.untouched_since(after_global + 4, far)
+
+
+#: (node index, dx, dy) — a step of up to three 100 m grid cells.
+unread_step = st.tuples(
+    st.integers(0, 9), st.floats(-300, 300), st.floats(-300, 300)
+)
+
+
+class TestUnreadMoves:
+    """Moves nobody reads settle in one journal entry per node: its
+    last-indexed and current cells, never the cells it passed through."""
+
+    @given(
+        st.lists(strip_node, min_size=2, max_size=5),
+        st.lists(unread_step, min_size=1, max_size=12),
+        st.floats(-5, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cached_reads_match_naive_after_unread_moves(
+        self, specs, steps, jitter
+    ):
+        env = Environment()
+        network = Network(env)
+        nodes = [
+            _make_node(env, network, index, spec)
+            for index, spec in enumerate(specs)
+        ]
+        monitors = [ConnectivityMonitor(env, network, node) for node in nodes]
+        _check_reads(network, nodes, monitors)
+        epoch = network.topology_epoch
+        # Out and back: node 0 crosses the next two cells and returns
+        # next to where it started, with no read in between.
+        size = network.grid.cell_size
+        home = nodes[0].position
+        nodes[0].move_to(Position(home.x + 2 * size, home.y))
+        nodes[0].move_to(Position(home.x + jitter, home.y))
+        moved = {nodes[0].id}
+        for index, dx, dy in steps:
+            node = nodes[index % len(nodes)]
+            before = node.position
+            node.move_to(Position(before.x + dx, before.y + dy))
+            if node.position != before:
+                moved.add(node.id)
+        _, dirty = network.dirty_since(epoch)
+        assert dirty == moved
+        _check_reads(network, nodes, monitors)
+
+    def test_passed_through_cell_does_not_invalidate(self):
+        env = Environment()
+        network = Network(env)
+        walker = network.add_node(
+            NetworkNode(env, "walker", Position(50, 50), technologies=[WIFI_ADHOC])
+        )
+        watcher = network.add_node(
+            NetworkNode(env, "watcher", Position(350, 50), technologies=[WIFI_ADHOC])
+        )
+        assert network.neighbors(watcher) == ()
+        epoch = network.topology_epoch
+        # Into range of the watcher and back out, unread.
+        walker.move_to(Position(260, 50))
+        walker.move_to(Position(40, 50))
+        assert network.topology_epoch == epoch + 1
+        assert network.dirty_cells_since(epoch)[1] == {(0, 0)}
+        revalidations = network.cache_stats["revalidations"]
+        assert network.neighbors(watcher) == ()
+        assert network.cache_stats["revalidations"] == revalidations + 1
+        walker.move_to(Position(260, 50))
+        assert network.neighbors(watcher) == (walker,)
