@@ -328,7 +328,7 @@ class AgentRuntime(Component):
         except SandboxViolation as violation:
             self.violations += 1
             host.world.metrics.counter(
-                "security.sandbox_violations", labels={"node": host.id}
+                "security.sandbox_violations", node=host.id
             ).increment()
             host.world.trace.emit(
                 self.env.now, host.id, "agent.violation",

@@ -114,29 +114,31 @@ class MobileHost:
         # forwards to the flat family total, so fleet-wide figures stay
         # identical while health monitors see individual hosts.
         metrics = world.metrics
-        labels = {"node": node.id}
-        self._m_request_rtt = metrics.histogram("host.request_rtt", labels=labels)
+        node_id = node.id
+        self._m_request_rtt = metrics.histogram(
+            "host.request_rtt", node=node_id
+        )
         self._m_request_timeouts = metrics.counter(
-            "host.request_timeouts", labels=labels
+            "host.request_timeouts", node=node_id
         )
         self._m_stale_replies = metrics.counter(
-            "host.stale_replies", labels=labels
+            "host.stale_replies", node=node_id
         )
         self._m_corrupt_discarded = metrics.counter(
-            "host.corrupt_discarded", labels=labels
+            "host.corrupt_discarded", node=node_id
         )
-        self._m_unhandled = metrics.counter("host.unhandled", labels=labels)
+        self._m_unhandled = metrics.counter("host.unhandled", node=node_id)
         self._m_handler_errors = metrics.counter(
-            "host.handler_errors", labels=labels
+            "host.handler_errors", node=node_id
         )
         self._m_verifications = metrics.counter(
-            "security.verifications", labels=labels
+            "security.verifications", node=node_id
         )
         self._m_verify_seconds = metrics.histogram(
-            "security.verify_seconds", labels=labels
+            "security.verify_seconds", node=node_id
         )
         self._m_rejections = metrics.counter(
-            "security.rejections", labels=labels
+            "security.rejections", node=node_id
         )
         self._dispatcher = self.env.process(
             self._dispatch_loop(), name=f"dispatch:{node.id}"
@@ -327,7 +329,7 @@ class MobileHost:
         if paradigm:
             metrics.counter(
                 f"paradigm.{paradigm}.stale_replies",
-                labels={"node": self.id},
+                node=self.id,
             ).increment()
         self.world.trace.emit(
             self.env.now,

@@ -191,9 +191,7 @@ class InvocationPipeline:
         if counter is None:
             host = self.host
             counter = self._label_cache[full_name] = (
-                host.world.metrics.counter(
-                    full_name, labels={"node": host.id}
-                )
+                host.world.metrics.counter(full_name, node=host.id)
             )
         return counter
 
@@ -213,9 +211,7 @@ class InvocationPipeline:
         if histogram is None:
             host = self.host
             histogram = self._label_cache[name] = (
-                host.world.metrics.histogram(
-                    name, labels={"node": host.id}
-                )
+                host.world.metrics.histogram(name, node=host.id)
             )
         histogram.observe(seconds)
 

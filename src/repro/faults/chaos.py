@@ -305,11 +305,10 @@ def _client_driver(
     metrics = world.metrics
     # Per-client labeled children: each tally lands on the
     # ``{node=...}`` series and forwards to the flat chaos.* totals.
-    labels = {"node": client.id}
-    app_retries = metrics.counter("chaos.app_retries", labels=labels)
-    completed = metrics.counter("chaos.completed", labels=labels)
-    failed = metrics.counter("chaos.failed", labels=labels)
-    requests_done = metrics.counter("chaos.requests_done", labels=labels)
+    app_retries = metrics.counter("chaos.app_retries", node=client.id)
+    completed = metrics.counter("chaos.completed", node=client.id)
+    failed = metrics.counter("chaos.failed", node=client.id)
+    requests_done = metrics.counter("chaos.requests_done", node=client.id)
     cs = client.components["cs"]
     for sequence in range(requests):
         yield world.env.timeout(spacing_s)

@@ -158,13 +158,12 @@ class FaultInjector:
             host = self.world.hosts.get(node_id)
             if host is None or not host.node.up:
                 continue
-            labels = {"node": node_id}
             deputy_calls = [0]
 
             def deputy() -> None:
                 deputy_calls[0] += 1
 
-            metrics.counter("hostile.guests", labels=labels).increment()
+            metrics.counter("hostile.guests", node=node_id).increment()
             result = host.run_guest(
                 HOSTILE_GUESTS[spec.guest](),
                 principal,
@@ -185,11 +184,11 @@ class FaultInjector:
                 and result.error_type == SandboxViolation.__name__
             ):
                 metrics.counter(
-                    "hostile.terminated", labels=labels
+                    "hostile.terminated", node=node_id
                 ).increment()
             else:
-                metrics.counter("hostile.escapes", labels=labels).increment()
-            metrics.histogram("hostile.work_units", labels=labels).observe(
+                metrics.counter("hostile.escapes", node=node_id).increment()
+            metrics.histogram("hostile.work_units", node=node_id).observe(
                 result.metrics.work_units
             )
             yield from host.execute(result.work_used)

@@ -88,14 +88,9 @@ class RoutingTable:
     ) -> None:
         self.stats[key] += amount
         if self.metrics is not None:
-            # The labeled child forwards to the flat family total, so
-            # only one of the two is incremented per event.
-            if node is None:
-                self.metrics.counter(f"routing.tree_{key}").increment(amount)
-            else:
-                self.metrics.counter(
-                    f"routing.tree_{key}", labels={"node": node}
-                ).increment(amount)
+            self.metrics.counter(f"routing.tree_{key}", node=node).increment(
+                amount
+            )
 
     def _flush(self) -> None:
         if self._trees:
@@ -252,14 +247,7 @@ class HierarchicalRouter:
     def _count(self, key: str, node: Optional[str] = None) -> None:
         self.stats[key] += 1
         if self.metrics is not None:
-            # The labeled child forwards to the flat family total, so
-            # only one of the two is incremented per event.
-            if node is None:
-                self.metrics.counter(f"routing.hier.{key}").increment()
-            else:
-                self.metrics.counter(
-                    f"routing.hier.{key}", labels={"node": node}
-                ).increment()
+            self.metrics.counter(f"routing.hier.{key}", node=node).increment()
 
     # -- coarse layer maintenance --------------------------------------------
 

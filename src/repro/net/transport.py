@@ -54,28 +54,6 @@ class Transport:
         #: after it.  ``None`` keeps the pre-fault behaviour and RNG
         #: draw order bit-identical.
         self.faults: Optional[object] = None
-        #: (family, node id) -> labeled child; transports touch many
-        #: nodes, so the per-site attribute caching hosts use is
-        #: replaced by one shared lookup table.
-        self._label_cache: dict = {}
-
-    def _node_counter(self, name: str, node_id: str):
-        key = (name, node_id)
-        counter = self._label_cache.get(key)
-        if counter is None:
-            counter = self._label_cache[key] = self.metrics.counter(
-                name, labels={"node": node_id}
-            )
-        return counter
-
-    def _node_histogram(self, name: str, node_id: str):
-        key = (name, node_id)
-        histogram = self._label_cache.get(key)
-        if histogram is None:
-            histogram = self._label_cache[key] = self.metrics.histogram(
-                name, labels={"node": node_id}
-            )
-        return histogram
 
     # -- public sends ---------------------------------------------------------
 
@@ -142,7 +120,7 @@ class Transport:
             message.created_at = self.env.now
         link = self._pick_link(source, destination, policy)
         if link is None:
-            self._node_counter("net.unreachable", source.id).increment()
+            self.metrics.counter("net.unreachable", node=source.id).increment()
             self.trace.emit(
                 self.env.now, source.id, "net.unreachable", to=destination.id
             )
@@ -195,7 +173,7 @@ class Transport:
         source.costs.account_transfer(
             link.sender_technology, message.wire_size, sent=True
         )
-        self._node_counter("net.bytes_sent", source.id).increment(
+        self.metrics.counter("net.bytes_sent", node=source.id).increment(
             message.wire_size
         )
         # Propagation; connectivity may have broken while transmitting.
@@ -210,7 +188,9 @@ class Transport:
             lost = True
             reason = "fault"
         if not destination.up or not still_connected or lost:
-            self._node_counter("net.messages_lost", destination.id).increment()
+            self.metrics.counter(
+                "net.messages_lost", node=destination.id
+            ).increment()
             self.trace.emit(
                 self.env.now,
                 source.id,
@@ -226,11 +206,11 @@ class Transport:
         )
         message.via = link.name
         message.hops += 1
-        self._node_counter(
-            "net.messages_delivered", destination.id
+        self.metrics.counter(
+            "net.messages_delivered", node=destination.id
         ).increment()
-        self._node_histogram(
-            "net.delivery_latency", destination.id
+        self.metrics.histogram(
+            "net.delivery_latency", node=destination.id
         ).observe(self.env.now - message.created_at)
         self.trace.emit(
             self.env.now,
@@ -267,8 +247,8 @@ class Transport:
             link = self._pick_link(source, destination, policy)
             if link is None:
                 if attempt == 1:
-                    self._node_counter(
-                        "net.unreachable", source.id
+                    self.metrics.counter(
+                        "net.unreachable", node=source.id
                     ).increment()
                     raise Unreachable(
                         f"{source.id} cannot reach {destination.id}"
@@ -293,13 +273,13 @@ class Transport:
                 )
             source.costs.account_transfer(link.sender_technology, ACK_BYTES, sent=False)
             if delivered:
-                self._node_histogram(
-                    "net.attempts_used", destination.id
+                self.metrics.histogram(
+                    "net.attempts_used", node=destination.id
                 ).observe(float(attempt))
                 return attempt
             if attempt < max_attempts:
-                self._node_counter(
-                    "net.retransmissions", destination.id
+                self.metrics.counter(
+                    "net.retransmissions", node=destination.id
                 ).increment()
         raise TransportTimeout(
             f"message #{message.id} to {destination.id} lost "
@@ -369,8 +349,8 @@ class Transport:
                     message.delivered_at = self.env.now
                 yield neighbor.inbox.put(message)
                 received.append(neighbor.id)
-        self._node_counter("net.broadcasts", source.id).increment()
-        self._node_histogram("net.broadcast_reach", source.id).observe(
+        self.metrics.counter("net.broadcasts", node=source.id).increment()
+        self.metrics.histogram("net.broadcast_reach", node=source.id).observe(
             float(len(received))
         )
         self.trace.emit(

@@ -19,9 +19,10 @@ import re
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ..sim.metrics import (
+    LABEL_SET,
     MetricsRegistry,
-    escape_label_value,
-    unescape_label_value,
+    format_labels,
+    parse_labels,
 )
 from ..sim.tracing import TraceLog, TraceRecord
 from .spans import Span
@@ -125,39 +126,22 @@ def _format_sample(value: float) -> str:
 SampleKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 _SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    # Label values are quoted with backslash escapes, so a bare "}" (or
-    # "{", or a comma) inside a value must not terminate the label set.
-    r'(?:\{(?P<labels>(?:[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*",?)*)\})?'
-    r"\s+(?P<value>\S+)$"
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?:"
+    + LABEL_SET
+    + r")?\s+(?P<value>\S+)$"
 )
-_PROM_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
 
-def _label_suffix(labels: Mapping[str, str]) -> str:
-    """``{"node": "a"}`` → ``{node="a"}`` (sorted, escaped); "" if empty."""
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{key}="{escape_label_value(str(labels[key]))}"'
-        for key in sorted(labels)
-    )
-    return "{" + inner + "}"
-
-
-def _split_family(items):
-    """Partition a metric store into (flat parents, children-by-family)."""
-    parents = []
-    children: Dict[str, list] = {}
-    for name, metric in items:
-        labels = getattr(metric, "labels", None)
-        if labels:
-            children.setdefault(metric._parent.name, []).append(metric)
-        else:
-            parents.append((name, metric))
-    for family in children.values():
-        family.sort(key=lambda child: sorted(child.labels.items()))
-    return sorted(parents), children
+def _families(store):
+    """``(name, [(labels, metric), ...])`` per family total, by name:
+    the total first, then its per-node children by node id."""
+    for name in sorted(store):
+        family = store[name]
+        if family.node is None:
+            yield name, [({}, family)] + [
+                ({"node": node}, child)
+                for node, child in sorted(family.children.items())
+            ]
 
 
 def metrics_to_prometheus(
@@ -167,8 +151,8 @@ def metrics_to_prometheus(
 
     Counters and gauges become single samples; histograms expose
     ``_count``/``_sum`` plus ``quantile``-labelled samples; time series
-    export their last value.  Labeled children follow their family's
-    flat total as real ``{node="..."}``-labelled samples under the same
+    export their last value.  Per-node children follow their family's
+    total as real ``{node="..."}``-labelled samples under the same
     metric name, so dashboards aggregate and slice them natively.
     """
     lines: List[str] = []
@@ -177,25 +161,22 @@ def metrics_to_prometheus(
         lines.append(f"# TYPE {name} {kind}")
         lines.extend(samples)
 
-    parents, children = _split_family(registry._counters.items())
-    for name, counter in parents:
+    for name, members in _families(registry._counters):
         metric = f"{prefix}_{sanitize_metric_name(name)}"
-        samples = [f"{metric} {_format_sample(counter.value)}"]
-        for child in children.get(name, ()):
-            samples.append(
-                f"{metric}{_label_suffix(child.labels)} "
-                f"{_format_sample(child.value)}"
-            )
-        emit(metric, "counter", samples)
-    parents, children = _split_family(registry._gauges.items())
-    for name, gauge in parents:
+        emit(
+            metric,
+            "counter",
+            [
+                f"{metric}{format_labels(labels)} "
+                f"{_format_sample(member.value)}"
+                for labels, member in members
+            ],
+        )
+    for name, members in _families(registry._gauges):
         metric = f"{prefix}_{sanitize_metric_name(name)}"
-        family = [(gauge, "")] + [
-            (child, _label_suffix(child.labels))
-            for child in children.get(name, ())
-        ]
         samples = []
-        for member, suffix in family:
+        for labels, member in members:
+            suffix = format_labels(labels)
             samples.append(f"{metric}{suffix} {_format_sample(member.value)}")
             samples.append(
                 f"{metric}_min{suffix} {_format_sample(member.min)}"
@@ -204,13 +185,11 @@ def metrics_to_prometheus(
                 f"{metric}_max{suffix} {_format_sample(member.max)}"
             )
         emit(metric, "gauge", samples)
-    parents, children = _split_family(registry._histograms.items())
-    for name, histogram in parents:
+    for name, members in _families(registry._histograms):
         metric = f"{prefix}_{sanitize_metric_name(name)}"
         samples = []
-        for member in [histogram] + list(children.get(name, ())):
-            labels = member.labels or {}
-            suffix = _label_suffix(labels)
+        for labels, member in members:
+            suffix = format_labels(labels)
             samples.append(
                 f"{metric}_count{suffix} "
                 f"{_format_sample(float(member.count))}"
@@ -219,10 +198,9 @@ def metrics_to_prometheus(
                 f"{metric}_sum{suffix} {_format_sample(member.total)}"
             )
             for quantile in (0.5, 0.95, 0.99):
-                merged = dict(labels)
-                merged["quantile"] = str(quantile)
+                merged = dict(labels, quantile=str(quantile))
                 samples.append(
-                    f"{metric}{_label_suffix(merged)} "
+                    f"{metric}{format_labels(merged)} "
                     f"{_format_sample(member.quantile(quantile))}"
                 )
         emit(metric, "summary", samples)
@@ -257,12 +235,7 @@ def parse_prometheus(text: str) -> Dict[SampleKey, float]:
         if match is None:
             raise ValueError(f"unparseable exposition line: {line!r}")
         labels = tuple(
-            sorted(
-                (pair.group(1), unescape_label_value(pair.group(2)))
-                for pair in _PROM_LABEL_RE.finditer(
-                    match.group("labels") or ""
-                )
-            )
+            sorted(parse_labels(match.group("labels") or "").items())
         )
         samples[(match.group("name"), labels)] = float(match.group("value"))
     return samples
@@ -275,7 +248,7 @@ def samples_to_exposition(samples: Mapping[SampleKey, float]) -> str:
     lines = []
     for (name, labels), value in sorted(samples.items()):
         lines.append(
-            f"{name}{_label_suffix(dict(labels))} {_format_sample(value)}"
+            f"{name}{format_labels(dict(labels))} {_format_sample(value)}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -221,7 +221,6 @@ class HealthEngine:
         slos,
         tracer=None,
         flight: Optional[FlightRecorder] = None,
-        label: str = "node",
         max_events: int = 256,
         max_flight_dumps: int = 16,
     ) -> None:
@@ -232,7 +231,6 @@ class HealthEngine:
             raise ValueError(f"duplicate slo names: {names}")
         self.tracer = tracer
         self.flight = flight
-        self.label = label
         self.max_events = max_events
         self.max_flight_dumps = max_flight_dumps
         #: (slo name, node) -> current level name.
@@ -250,11 +248,9 @@ class HealthEngine:
         """One sweep: classify every (spec, node) and record transitions."""
         self.evaluations += 1
         for slo in self.slos:
-            numerators = self.metrics.labeled_children(
-                slo.numerator, self.label
-            )
+            numerators = self.metrics.labeled_children(slo.numerator)
             denominators = (
-                self.metrics.labeled_children(slo.denominator, self.label)
+                self.metrics.labeled_children(slo.denominator)
                 if slo.denominator is not None
                 else None
             )
@@ -314,12 +310,10 @@ class HealthEngine:
             self.dropped_events += 1
         if _LEVEL_INDEX[level] <= _LEVEL_INDEX[previous]:
             return  # recovery: recorded above, but never instrumented
-        self.metrics.counter(
-            "health.breaches", labels={self.label: node}
-        ).increment()
+        self.metrics.counter("health.breaches", node=node).increment()
         if level == "critical":
             self.metrics.counter(
-                "health.critical_breaches", labels={self.label: node}
+                "health.critical_breaches", node=node
             ).increment()
         if self.tracer is not None:
             span = self.tracer.start(

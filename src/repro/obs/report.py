@@ -140,9 +140,7 @@ class RunReport:
             from .trace import TraceAnalysis
 
             metrics.update(TraceAnalysis.from_spans(spans).metrics())
-        from ..sim.metrics import rollup_by_label
-
-        nodes = rollup_by_label(metrics) or None
+        nodes = world.metrics.node_rollup() or None
         engine = getattr(world, "health", None)
         health = None
         flight = None

@@ -8,11 +8,11 @@ machines (two different ``--jobs`` values produce the same bytes).
 The document reuses the schema-v3 vocabulary end to end:
 
 * every job's flat (unlabeled) metrics are re-emitted as labeled
-  children ``metric{job="scenario/plan/s7"}`` — the same
-  ``labeled_name`` convention per-node metrics use — and
-  ``rollup_by_label(..., "job")`` turns them into the per-job sections
-  under ``nodes``, so ``python -m repro report`` renders a matrix
-  report with zero new code;
+  keys ``metric{job="scenario/plan/s7"}`` — the same
+  ``labeled_name`` encoding per-node metrics use — and
+  ``rollup_by_label(..., "job")`` decodes them into the per-job
+  sections under ``nodes``, so ``python -m repro report`` renders a
+  matrix report with zero new code;
 * cross-job aggregates land under ``agg.<metric>.<stat>`` with
   ``min``/``p50``/``p90``/``max``/``mean`` stats — and because the
   :mod:`repro.obs.diff` direction globs match on substrings
@@ -86,7 +86,7 @@ def merge_matrix_report(
                 # re-labeling them would nest label sets the snapshot
                 # grammar has no syntax for.
                 continue
-            metrics[labeled_name(base, {"job": key})] = float(value)
+            metrics[labeled_name(base, key, "job")] = float(value)
             by_name.setdefault(base, []).append(float(value))
         for kind, count in sorted(
             (document.get("kind_counts") or {}).items()  # type: ignore[union-attr]
@@ -107,9 +107,9 @@ def merge_matrix_report(
     # Per-job success indicator: failed jobs appear in the rollup too,
     # so `repro report` shows exactly which cells died.
     for key in sorted(results):
-        metrics[labeled_name("runner.job_ok", {"job": key})] = 1.0
+        metrics[labeled_name("runner.job_ok", key, "job")] = 1.0
     for key in sorted(failures):
-        metrics[labeled_name("runner.job_ok", {"job": key})] = 0.0
+        metrics[labeled_name("runner.job_ok", key, "job")] = 0.0
 
     metrics.update(
         {

@@ -21,8 +21,8 @@ Two providers ship:
   charge with the same tally.
 
 Providers emit the ``security.*`` metric families with per-node
-labeled children (``labels={"node": ...}``), so hostile-guest activity
-shows up both per host and in fleet rollups.
+children (``node=...``), so hostile-guest activity shows up both per
+host and in fleet rollups.
 """
 
 from __future__ import annotations
@@ -151,24 +151,23 @@ class SandboxProvider:
         self._m_storage_peak = None
         self._m_service_calls = None
         if metrics is not None:
-            labels = {"node": host_id}
             self._m_runs = metrics.counter(
-                "security.sandbox_runs", labels=labels
+                "security.sandbox_runs", node=host_id
             )
             self._m_violations = metrics.counter(
-                "security.sandbox_violations", labels=labels
+                "security.sandbox_violations", node=host_id
             )
             self._m_errors = metrics.counter(
-                "security.sandbox_errors", labels=labels
+                "security.sandbox_errors", node=host_id
             )
             self._m_work = metrics.histogram(
-                "security.guest_work", labels=labels
+                "security.guest_work", node=host_id
             )
             self._m_storage_peak = metrics.histogram(
-                "security.guest_storage_peak", labels=labels
+                "security.guest_storage_peak", node=host_id
             )
             self._m_service_calls = metrics.counter(
-                "security.guest_service_calls", labels=labels
+                "security.guest_service_calls", node=host_id
             )
 
     # -- capabilities ---------------------------------------------------------

@@ -10,21 +10,27 @@ A :class:`MetricsRegistry` holds named metrics of four kinds:
 All metrics are plain in-memory Python; ``snapshot()`` renders the whole
 registry to a flat dict for table output and assertions in tests.
 
-**Labels.**  Every accessor takes an optional ``labels={"node": ...}``
-dimension.  A labeled call returns a *child* metric that forwards every
-update to its flat parent, so the unlabeled family keeps reporting the
-fleet-wide total verbatim — all existing baselines and diff directions
-keep working — while the children add the per-node breakdown under
-snapshot keys like ``net.bytes_sent{node="a"}``.  Cardinality is
-bounded per family (:data:`DEFAULT_LABEL_CAPACITY`): past the cap, new
-label values fold into one ``__other__`` bucket and the spill is
-counted in ``obs.labels.overflow``.
+**Per-node children.**  Every accessor takes an optional ``node=`` id.
+A per-node call returns a *child* metric that forwards every update to
+its family total, so the family keeps reporting the fleet-wide total
+verbatim while the children add the per-node breakdown.  A family
+total indexes its children by node id (``family.children``).  The
+snapshot key ``net.bytes_sent{node="a"}`` is encoded once, when the
+child is registered, and a run report's ``nodes`` section is read off
+the children (:meth:`MetricsRegistry.node_rollup`), so nothing is
+parsed back on capture.  Only the edges that read documents back
+decode label strings — the run-matrix merge of job reports
+(:func:`split_labeled`, :func:`rollup_by_label`) and the Prometheus
+parser — and both use the one grammar of :data:`LABEL_SET`.
+Cardinality is bounded per family (:data:`DEFAULT_LABEL_CAPACITY`):
+past the cap, new node ids fold into one ``__other__`` child and the
+spill is counted in ``obs.labels.overflow``.
 
 **Retention.**  Gauges and histograms keep every written value for
 end-of-run quantiles; ``MetricsRegistry(max_samples=N)`` opts into
 bounded retention with deterministic ordinal-stride decimation (see
-:class:`Histogram`), trading quantile resolution for O(N) memory on
-city-scale runs.  Count, sum, and mean stay exact.
+:class:`_Retained`), trading quantile resolution for O(N) memory on
+city-scale runs.  Count, sum, mean and gauge min/max stay exact.
 """
 
 from __future__ import annotations
@@ -33,17 +39,25 @@ import math
 import re
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-#: Per-family bound on distinct label combinations; past it, new label
-#: values fold into the ``__other__`` bucket.
+#: Per-family bound on distinct per-node children; past it, new node
+#: ids fold into the ``__other__`` child.
 DEFAULT_LABEL_CAPACITY = 64
 
-#: The label value absorbing every series past the cardinality cap.
+#: The node id absorbing every child past the cardinality cap.
 OVERFLOW_LABEL = "__other__"
 
+#: One ``key="value"`` label pair.  Values are quoted with backslash
+#: escapes, so a ``}``, ``{`` or ``,`` inside a value never ends the set.
+LABEL_PAIR = r'([A-Za-z_][\w.]*)="((?:[^"\\]|\\.)*)"'
+
+#: A whole ``{k="v",...}`` label set; group ``labels`` holds its inside.
+LABEL_SET = r"\{(?P<labels>(?:" + LABEL_PAIR + r",?)*)\}"
+
+_LABEL_PAIR_RE = re.compile(LABEL_PAIR)
+
 _LABELED_KEY_RE = re.compile(
-    r"^(?P<base>[^{]+)\{(?P<labels>[^}]*)\}(?P<suffix>.*)$"
+    r"(?P<base>[^{]+)" + LABEL_SET + r"(?P<suffix>.*)", re.DOTALL
 )
-_LABEL_PAIR_RE = re.compile(r'([A-Za-z_][\w.]*)="((?:[^"\\]|\\.)*)"')
 
 
 def escape_label_value(value: str) -> str:
@@ -69,7 +83,10 @@ def unescape_label_value(value: str) -> str:
 
 
 def format_labels(labels: Mapping[str, str]) -> str:
-    """``{"node": "a"}`` → ``{node="a"}`` (keys sorted, values escaped)."""
+    """``{"node": "a"}`` → ``{node="a"}`` (keys sorted, values escaped;
+    ``""`` for no labels)."""
+    if not labels:
+        return ""
     inner = ",".join(
         f'{key}="{escape_label_value(str(labels[key]))}"'
         for key in sorted(labels)
@@ -77,9 +94,17 @@ def format_labels(labels: Mapping[str, str]) -> str:
     return "{" + inner + "}"
 
 
-def labeled_name(name: str, labels: Mapping[str, str]) -> str:
-    """The canonical storage/snapshot key of one labeled series."""
-    return name + format_labels(labels)
+def parse_labels(text: str) -> Dict[str, str]:
+    """The inside of a :data:`LABEL_SET` → ``{key: unescaped value}``."""
+    return {
+        pair.group(1): unescape_label_value(pair.group(2))
+        for pair in _LABEL_PAIR_RE.finditer(text)
+    }
+
+
+def labeled_name(name: str, value: str, label: str = "node") -> str:
+    """The snapshot key of one labeled series: ``name{label="value"}``."""
+    return name + format_labels({label: value})
 
 
 def split_labeled(key: str) -> Tuple[str, Optional[Dict[str, str]]]:
@@ -88,14 +113,13 @@ def split_labeled(key: str) -> Tuple[str, Optional[Dict[str, str]]]:
     Stat suffixes survive the round trip on the flat side:
     ``a.b{node="x"}.p99`` → ``("a.b.p99", {"node": "x"})``.
     """
-    match = _LABELED_KEY_RE.match(key)
+    match = _LABELED_KEY_RE.fullmatch(key)
     if match is None:
         return key, None
-    labels = {
-        pair.group(1): unescape_label_value(pair.group(2))
-        for pair in _LABEL_PAIR_RE.finditer(match.group("labels"))
-    }
-    return match.group("base") + match.group("suffix"), labels
+    return (
+        match.group("base") + match.group("suffix"),
+        parse_labels(match.group("labels")),
+    )
 
 
 def rollup_by_label(
@@ -103,9 +127,11 @@ def rollup_by_label(
 ) -> Dict[str, Dict[str, float]]:
     """Group a flat snapshot's labeled keys per label value.
 
-    Returns ``{label value: {flat metric key: value}}`` — the ``nodes``
-    section of a run report.  Unlabeled keys are skipped (they are the
-    fleet-wide totals the top-level ``metrics`` section already has).
+    Returns ``{label value: {flat metric key: value}}``.  Unlabeled keys
+    are skipped (they are the totals the top-level ``metrics`` section
+    already has).  The run-matrix merge builds its per-job sections
+    with it; a live registry answers the same question for ``node``
+    without parsing, through :meth:`MetricsRegistry.node_rollup`.
     """
     rollup: Dict[str, Dict[str, float]] = {}
     for key, value in metrics.items():
@@ -137,17 +163,19 @@ def interpolated_quantile(ordered: Sequence[float], q: float) -> float:
 class Counter:
     """A monotonically increasing total.
 
-    A labeled child (``parent`` set) forwards every increment to the
-    flat family total, so ``labels=`` call sites keep the unlabeled
-    value bit-identical to the pre-label behaviour.
+    A per-node child (``parent`` set) forwards every increment to the
+    family total, so ``node=`` call sites keep the family value
+    bit-identical to an unlabeled call.
     """
 
     def __init__(self, name: str, parent: Optional["Counter"] = None) -> None:
         self.name = name
         self.value = 0.0
         self._parent = parent
-        #: ``{key: value}`` for labeled children, ``None`` for parents.
-        self.labels: Optional[Dict[str, str]] = None
+        #: The child's node id; ``None`` on a family total.
+        self.node: Optional[str] = None
+        #: Family totals only: node id -> per-node child.
+        self.children: Dict[str, "Counter"] = {}
 
     def increment(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -157,157 +185,41 @@ class Counter:
             parent.value += amount
         self.value += amount
 
+    def stats(self) -> Tuple[Tuple[str, float], ...]:
+        """``(key suffix, value)`` pairs this metric adds to a snapshot."""
+        return (("", self.value),)
+
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value:g}>"
 
 
-class Gauge:
-    """The most recently written value.
+class _Retained:
+    """Written values kept for quantile queries.
 
-    Every written value is also kept (append-only, sorted lazily into a
-    copy on the first quantile query, exactly like :class:`Histogram`),
-    so the distribution of a gauge over a run — notably its median,
-    ``p50`` — is available next to the min/max extremes.  Labeled
-    children forward each write to the flat parent (last write wins
-    there, as if the call sites were unlabeled).  ``max_samples`` caps
-    retention via the same ordinal-stride decimation as
-    :class:`Histogram`; min/max/last stay exact, quantiles become
-    approximate over the retained subsample.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        parent: Optional["Gauge"] = None,
-        max_samples: Optional[int] = None,
-    ) -> None:
-        self.name = name
-        self.value: float = 0.0
-        self._parent = parent
-        self.labels: Optional[Dict[str, str]] = None
-        self.max_samples = max_samples
-        self._max = -math.inf
-        self._min = math.inf
-        self._written: List[float] = []
-        self._sorted: List[float] = []
-        self._dirty = False
-        self._observed = 0
-        self._stride = 1
-
-    def set(self, value: float) -> None:
-        parent = self._parent
-        if parent is not None:
-            parent.set(value)
-        self.value = value
-        if value > self._max:
-            self._max = value
-        if value < self._min:
-            self._min = value
-        ordinal = self._observed
-        self._observed = ordinal + 1
-        cap = self.max_samples
-        if cap is None:
-            self._written.append(value)
-            self._dirty = True
-            return
-        if ordinal % self._stride:
-            return
-        self._written.append(value)
-        self._dirty = True
-        if len(self._written) > cap:
-            # Ordinal-stride decimation: keep every other retained
-            # sample, so retained ordinals stay exact multiples of the
-            # (doubled) stride — deterministic, input-order only.
-            self._written = self._written[::2]
-            self._stride *= 2
-
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
-
-    @property
-    def max(self) -> float:
-        """Largest value ever set (0.0 for a never-set gauge)."""
-        return self._max if self._max != -math.inf else 0.0
-
-    @property
-    def min(self) -> float:
-        """Smallest value ever set (0.0 for a never-set gauge)."""
-        return self._min if self._min != math.inf else 0.0
-
-    @property
-    def touched(self) -> bool:
-        """True once ``set``/``add`` has been called at least once."""
-        return self._max != -math.inf
-
-    @property
-    def observed(self) -> int:
-        """Total values ever written (decimation does not shrink it)."""
-        return self._observed
-
-    @property
-    def retained(self) -> int:
-        """Values currently held for quantile queries."""
-        return len(self._written)
-
-    def quantile(self, q: float) -> float:
-        """Quantile ``q`` over the retained written values (0.0 if none)."""
-        if self._dirty:
-            self._sorted = sorted(self._written)
-            self._dirty = False
-        return interpolated_quantile(self._sorted, q)
-
-    @property
-    def p50(self) -> float:
-        """Median of every value ever written (0.0 for a never-set gauge)."""
-        return self.quantile(0.5)
-
-    def __repr__(self) -> str:
-        return f"<Gauge {self.name}={self.value:g}>"
-
-
-class Histogram:
-    """A distribution of samples with mean and quantile queries.
-
-    ``observe`` is O(1): samples go into an append-only buffer; a
-    *sorted copy* is built lazily on the first quantile/min/max query
-    after new data (hot paths observe millions of samples; quantiles
-    are read once at the end of a run).  The observation buffer itself
-    is never reordered, so :meth:`samples_since` can hand out stable
-    insertion-order windows — what the time-series recorder uses for
-    windowed per-cadence quantiles.
+    Values go into an append-only buffer; a *sorted copy* is built
+    lazily on the first quantile query after new data (hot paths write
+    millions of values; quantiles are read once at the end of a run).
+    The buffer itself is never reordered, so :meth:`samples_since` can
+    hand out stable insertion-order windows — what the time-series
+    recorder uses for windowed per-cadence quantiles.
 
     With ``max_samples`` set, retention is bounded by ordinal-stride
     decimation: whenever the buffer exceeds the cap it is compacted to
     every other element and the keep-stride doubles, so the retained
     ordinals are always exact multiples of the stride (pure function of
-    the observation sequence — two same-seed runs decimate
-    identically).  ``count``/``sum``/``mean`` remain exact; quantiles
-    and min/max answer over the retained subsample.  Labeled children
-    forward each observation to the flat parent.
+    the write sequence — two same-seed runs decimate identically).
+    Quantiles then answer over the retained subsample.
     """
 
-    def __init__(
-        self,
-        name: str,
-        parent: Optional["Histogram"] = None,
-        max_samples: Optional[int] = None,
-    ) -> None:
-        self.name = name
-        self._parent = parent
-        self.labels: Optional[Dict[str, str]] = None
+    def __init__(self, max_samples: Optional[int]) -> None:
         self.max_samples = max_samples
         self._samples: List[float] = []
         self._sorted: List[float] = []
         self._dirty = False
-        self._sum = 0.0
         self._observed = 0
         self._stride = 1
 
-    def observe(self, value: float) -> None:
-        parent = self._parent
-        if parent is not None:
-            parent.observe(value)
-        self._sum += value
+    def _retain(self, value: float) -> None:
         ordinal = self._observed
         self._observed = ordinal + 1
         cap = self.max_samples
@@ -330,12 +242,12 @@ class Histogram:
         return self._sorted
 
     def samples_since(self, ordinal: int) -> List[float]:
-        """Retained samples observed at or after ``ordinal``, in
+        """Retained values written at or after ``ordinal``, in
         insertion order.
 
-        ``ordinal`` counts *observations* (see :attr:`observed`), not
-        buffer positions, so windows stay correct across decimation —
-        without a cap the two are the same thing.
+        ``ordinal`` counts *writes* (see :attr:`observed`), not buffer
+        positions, so windows stay correct across decimation — without
+        a cap the two are the same thing.
         """
         stride = self._stride
         if stride == 1:
@@ -343,18 +255,126 @@ class Histogram:
         return self._samples[-(-ordinal // stride):]
 
     @property
-    def count(self) -> int:
-        """Total observations (exact even under decimation)."""
+    def observed(self) -> int:
+        """Total values ever written (decimation does not shrink it)."""
         return self._observed
 
     @property
     def retained(self) -> int:
-        """Samples currently held for quantile queries."""
+        """Values currently held for quantile queries."""
         return len(self._samples)
 
+    def quantile(self, q: float) -> float:
+        """Linear-interpolated quantile ``q`` in [0, 1] over the
+        retained values (0.0 if none)."""
+        return interpolated_quantile(self._ordered(), q)
+
+
+class Gauge(_Retained):
+    """The most recently written value.
+
+    Every written value is also retained (see :class:`_Retained`), so
+    the distribution of a gauge over a run — notably its median,
+    ``p50`` — is available next to the min/max extremes, which stay
+    exact under decimation.  Per-node children forward each write to
+    the family total (last write wins there, as if the call sites were
+    unlabeled).
+    """
+
+    def __init__(
+        self,
+        name: str,
+        parent: Optional["Gauge"] = None,
+        max_samples: Optional[int] = None,
+    ) -> None:
+        super().__init__(max_samples)
+        self.name = name
+        self.value: float = 0.0
+        self._parent = parent
+        self.node: Optional[str] = None
+        self.children: Dict[str, "Gauge"] = {}
+        self._max = -math.inf
+        self._min = math.inf
+
+    def set(self, value: float) -> None:
+        parent = self._parent
+        if parent is not None:
+            parent.set(value)
+        self.value = value
+        if value > self._max:
+            self._max = value
+        if value < self._min:
+            self._min = value
+        self._retain(value)
+
+    def add(self, delta: float) -> None:
+        self.set(self.value + delta)
+
     @property
-    def observed(self) -> int:
-        """Alias of :attr:`count` (the window-bookkeeping name)."""
+    def max(self) -> float:
+        """Largest value ever set (0.0 for a never-set gauge)."""
+        return self._max if self._max != -math.inf else 0.0
+
+    @property
+    def min(self) -> float:
+        """Smallest value ever set (0.0 for a never-set gauge)."""
+        return self._min if self._min != math.inf else 0.0
+
+    @property
+    def touched(self) -> bool:
+        """True once ``set``/``add`` has been called at least once."""
+        return self._max != -math.inf
+
+    @property
+    def p50(self) -> float:
+        """Median of every value ever written (0.0 for a never-set gauge)."""
+        return self.quantile(0.5)
+
+    def stats(self) -> Tuple[Tuple[str, float], ...]:
+        # Sane (0.0, never ±inf) even for never-set gauges.
+        return (
+            ("", self.value),
+            (".min", self.min),
+            (".max", self.max),
+            (".p50", self.p50),
+        )
+
+    def __repr__(self) -> str:
+        return f"<Gauge {self.name}={self.value:g}>"
+
+
+class Histogram(_Retained):
+    """A distribution of samples with mean and quantile queries.
+
+    ``observe`` is O(1) (see :class:`_Retained`).  ``count``/``sum``/
+    ``mean`` stay exact under decimation; quantiles and min/max answer
+    over the retained subsample.  Per-node children forward each
+    observation to the family total.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        parent: Optional["Histogram"] = None,
+        max_samples: Optional[int] = None,
+    ) -> None:
+        super().__init__(max_samples)
+        self.name = name
+        self._parent = parent
+        self.node: Optional[str] = None
+        self.children: Dict[str, "Histogram"] = {}
+        self._sum = 0.0
+
+    def observe(self, value: float) -> None:
+        parent = self._parent
+        if parent is not None:
+            parent.observe(value)
+        self._sum += value
+        self._retain(value)
+
+    @property
+    def count(self) -> int:
+        """Total observations (exact even under decimation)."""
         return self._observed
 
     @property
@@ -364,10 +384,6 @@ class Histogram:
     @property
     def total(self) -> float:
         return self._sum
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile ``q`` in [0, 1]."""
-        return interpolated_quantile(self._ordered(), q)
 
     @property
     def median(self) -> float:
@@ -393,6 +409,19 @@ class Histogram:
     def min(self) -> float:
         ordered = self._ordered()
         return ordered[0] if ordered else 0.0
+
+    def stats(self) -> Tuple[Tuple[str, float], ...]:
+        return (
+            (".count", float(self.count)),
+            (".sum", self.total),
+            (".mean", self.mean),
+            (".median", self.median),
+            (".p50", self.p50),
+            (".p95", self.p95),
+            (".p99", self.p99),
+            (".min", self.min),
+            (".max", self.max),
+        )
 
     def __repr__(self) -> str:
         return f"<Histogram {self.name} n={self.count} mean={self.mean:g}>"
@@ -438,8 +467,8 @@ class MetricsRegistry:
     """Namespace of metrics, created lazily on first access.
 
     ``max_samples`` opts every gauge/histogram into bounded retention
-    (see :class:`Histogram`); ``label_capacity`` bounds distinct label
-    combinations per family before the ``__other__`` fold.
+    (see :class:`_Retained`); ``label_capacity`` bounds distinct
+    per-node children per family before the ``__other__`` fold.
     """
 
     def __init__(
@@ -457,52 +486,24 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._series: Dict[str, TimeSeries] = {}
-        #: (family, sorted label items) -> child metric.  Folded series
-        #: alias their key to the family's ``__other__`` child, so a
-        #: repeat overflow lookup is one dict hit.
-        self._labeled: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], object] = {}
-        #: family -> distinct labeled children created (the bound).
-        self._cardinality: Dict[str, int] = {}
+        #: (family total, node id) -> the ``__other__`` child a node
+        #: past the family's cap folded into, so a repeat lookup is one
+        #: dict hit and the spill is counted once per distinct node.
+        self._folded: Dict[Tuple[object, str], object] = {}
 
     # -- accessors -----------------------------------------------------------
 
-    def counter(
-        self, name: str, labels: Optional[Mapping[str, str]] = None
-    ) -> Counter:
-        if labels:
-            return self._child(self._counters, self._new_counter, name, labels)
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter(name)
-        return counter
+    def counter(self, name: str, node: Optional[str] = None) -> Counter:
+        return self._metric(self._counters, Counter, name, node)
 
-    def gauge(
-        self, name: str, labels: Optional[Mapping[str, str]] = None
-    ) -> Gauge:
-        if labels:
-            return self._child(self._gauges, self._new_gauge, name, labels)
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = self._new_gauge(name)
-        return gauge
+    def gauge(self, name: str, node: Optional[str] = None) -> Gauge:
+        return self._metric(self._gauges, self._new_gauge, name, node)
 
-    def histogram(
-        self, name: str, labels: Optional[Mapping[str, str]] = None
-    ) -> Histogram:
-        if labels:
-            return self._child(
-                self._histograms, self._new_histogram, name, labels
-            )
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = self._new_histogram(name)
-        return histogram
+    def histogram(self, name: str, node: Optional[str] = None) -> Histogram:
+        return self._metric(self._histograms, self._new_histogram, name, node)
 
     def series(self, name: str) -> TimeSeries:
         return self._series.setdefault(name, TimeSeries(name))
-
-    def _new_counter(self, name: str, parent: Optional[Counter] = None):
-        return Counter(name, parent=parent)
 
     def _new_gauge(self, name: str, parent: Optional[Gauge] = None):
         return Gauge(name, parent=parent, max_samples=self.max_samples)
@@ -510,96 +511,96 @@ class MetricsRegistry:
     def _new_histogram(self, name: str, parent: Optional[Histogram] = None):
         return Histogram(name, parent=parent, max_samples=self.max_samples)
 
-    # -- labeled children ----------------------------------------------------
+    # -- per-node children ---------------------------------------------------
 
-    def _child(self, store, factory, name: str, labels):
-        key = (name, tuple(sorted((str(k), str(v)) for k, v in labels.items())))
-        child = self._labeled.get(key)
-        if child is not None:
-            return child
-        parent = store.get(name)
-        if parent is None:
-            parent = store[name] = factory(name)
-        if self._cardinality.get(name, 0) >= self.label_capacity:
-            # Past the family's cap: fold into the shared __other__
-            # bucket (created on first spill) and count the overflow —
-            # once per distinct folded series, since the alias is
-            # cached under the original key.
-            folded_key = (
-                name,
-                tuple((label, OVERFLOW_LABEL) for label, _ in key[1]),
+    def _metric(self, store, factory, name: str, node: Optional[str]):
+        family = store.get(name)
+        if family is None:
+            family = store[name] = factory(name)
+        if node is None:
+            return family
+        child = family.children.get(node)
+        return child or self._child(store, factory, family, node)
+
+    def _child(self, store, factory, family, node: str):
+        children = family.children
+        if len(children) < self.label_capacity:
+            return self._register(store, factory, family, node)
+        # Past the family's cap: fold into the shared __other__ child
+        # (created on first spill) and count the overflow once per
+        # distinct folded node.
+        key = (family, node)
+        child = self._folded.get(key)
+        if child is None:
+            child = children.get(OVERFLOW_LABEL) or self._register(
+                store, factory, family, OVERFLOW_LABEL
             )
-            child = self._labeled.get(folded_key)
-            if child is None:
-                child = self._register_child(store, factory, parent, folded_key)
+            self._folded[key] = child
             self.counter("obs.labels.overflow").increment()
-            self._labeled[key] = child
-            return child
-        return self._register_child(store, factory, parent, key)
+        return child
 
-    def _register_child(self, store, factory, parent, key):
-        name, items = key
-        labels = dict(items)
-        child = factory(labeled_name(name, labels), parent=parent)
-        child.labels = labels
-        store[child.name] = child
-        self._labeled[key] = child
-        self._cardinality[name] = self._cardinality.get(name, 0) + 1
+    def _register(self, store, factory, family, node: str):
+        child = factory(labeled_name(family.name, node), parent=family)
+        child.node = node
+        store[child.name] = family.children[node] = child
         self.counter("obs.labels.series").increment()
         return child
 
-    def labeled_children(self, name: str, label: str = "node"):
-        """``{label value -> child}`` for one family (creates nothing).
+    def labeled_children(self, name: str) -> Dict[str, object]:
+        """``{node id -> child}`` of one family (creates nothing; do not
+        mutate the returned mapping).
 
-        Folded series all surface as the single ``__other__`` entry.
+        Folded nodes all surface as the single ``__other__`` entry.
         The health engine sweeps families through this accessor, so an
         armed-but-quiet engine leaves the registry untouched.
         """
-        children: Dict[str, object] = {}
-        for (family, _items), child in self._labeled.items():
-            if family != name:
-                continue
-            value = child.labels.get(label) if child.labels else None
-            if value is not None:
-                children[value] = child
-        return children
+        for store in (self._counters, self._gauges, self._histograms):
+            family = store.get(name)
+            if family is not None and family.children:
+                return family.children
+        return {}
 
     def label_cardinality(self, name: str) -> int:
-        """Distinct labeled series created for one family (bounded)."""
-        return self._cardinality.get(name, 0)
+        """Distinct per-node children created for one family (bounded)."""
+        return len(self.labeled_children(name))
 
     # -- rendering -----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, float]:
         """Flatten every metric into ``name[.stat] -> value``.
 
-        Labeled children appear under their ``family{k="v"}`` keys next
-        to the flat family totals (see :func:`split_labeled` /
-        :func:`rollup_by_label` for parsing them back apart).
+        Per-node children appear under their ``family{node="x"}`` keys
+        next to the family totals.
         """
         snapshot: Dict[str, float] = {}
-        for name, counter in self._counters.items():
-            snapshot[name] = counter.value
-        for name, gauge in self._gauges.items():
-            snapshot[name] = gauge.value
-            # Sane (0.0, never ±inf) even for never-set gauges.
-            snapshot[f"{name}.min"] = gauge.min
-            snapshot[f"{name}.max"] = gauge.max
-            snapshot[f"{name}.p50"] = gauge.p50
-        for name, histogram in self._histograms.items():
-            snapshot[f"{name}.count"] = float(histogram.count)
-            snapshot[f"{name}.sum"] = histogram.total
-            snapshot[f"{name}.mean"] = histogram.mean
-            snapshot[f"{name}.median"] = histogram.median
-            snapshot[f"{name}.p50"] = histogram.p50
-            snapshot[f"{name}.p95"] = histogram.p95
-            snapshot[f"{name}.p99"] = histogram.p99
-            snapshot[f"{name}.min"] = histogram.min
-            snapshot[f"{name}.max"] = histogram.max
+        for store in (self._counters, self._gauges, self._histograms):
+            for name, metric in store.items():
+                for suffix, value in metric.stats():
+                    snapshot[name + suffix] = value
         for name, series in self._series.items():
             last = series.last()
             snapshot[f"{name}.last"] = last[1] if last else 0.0
         return snapshot
+
+    def node_rollup(self) -> Dict[str, Dict[str, float]]:
+        """``{node id: {family[.stat]: value}}`` — a run report's
+        ``nodes`` section.
+
+        Equal to ``rollup_by_label(self.snapshot())``, but read off the
+        children with the same :meth:`stats` the snapshot renders, so
+        no key is encoded or parsed.
+        """
+        rollup: Dict[str, Dict[str, float]] = {}
+        for store in (self._counters, self._gauges, self._histograms):
+            for child in store.values():
+                node = child.node
+                if node is None:
+                    continue
+                values = rollup.setdefault(node, {})
+                family = child._parent.name
+                for suffix, value in child.stats():
+                    values[family + suffix] = value
+        return {node: rollup[node] for node in sorted(rollup)}
 
     def names(self) -> List[str]:
         return sorted(

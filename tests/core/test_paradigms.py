@@ -109,7 +109,7 @@ class TestRemoteEvaluation:
         value = run(phone.world, go())
         assert value["args"] == [1, 2]
         runs = server.world.metrics.counter(
-            "security.sandbox_runs", labels={"node": server.id}
+            "security.sandbox_runs", node=server.id
         )
         assert runs.value == 1
 

@@ -93,10 +93,10 @@ class TestPrometheus:
     def test_labeled_children_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("net.bytes").increment(7)
-        registry.counter("net.bytes", labels={"node": "a"}).increment(5)
-        registry.counter("net.bytes", labels={"node": "b"}).increment(2)
+        registry.counter("net.bytes", node="a").increment(5)
+        registry.counter("net.bytes", node="b").increment(2)
         registry.histogram(
-            "net.latency", labels={"node": "a"}
+            "net.latency", node="a"
         ).observe(1.5)
         text = metrics_to_prometheus(registry)
         samples = parse_prometheus(text)

@@ -133,7 +133,7 @@ class TestHealthEngine:
         registry, engine = _engine(
             [SloSpec(name="errors", numerator="errs", degraded=0.0)]
         )
-        errs = registry.counter("errs", labels={"node": "a"})
+        errs = registry.counter("errs", node="a")
         engine.evaluate(0.0)
         assert engine.events == []
         errs.increment()
@@ -146,7 +146,7 @@ class TestHealthEngine:
         assert engine.node_states() == {"a": "degraded"}
         assert (
             registry.counter(
-                "health.breaches", labels={"node": "a"}
+                "health.breaches", node="a"
             ).value
             == 1
         )
@@ -162,7 +162,7 @@ class TestHealthEngine:
                 )
             ]
         )
-        errs = registry.counter("errs", labels={"node": "a"})
+        errs = registry.counter("errs", node="a")
         errs.increment(3)
         engine.evaluate(5.0)
         assert engine.node_states() == {"a": "degraded"}
@@ -176,7 +176,7 @@ class TestHealthEngine:
         # Recovery is recorded but never instrumented.
         assert (
             registry.counter(
-                "health.breaches", labels={"node": "a"}
+                "health.breaches", node="a"
             ).value
             == 1
         )
@@ -193,11 +193,11 @@ class TestHealthEngine:
                 )
             ]
         )
-        registry.counter("errs", labels={"node": "a"}).increment()
-        registry.counter("calls", labels={"node": "a"}).increment()
+        registry.counter("errs", node="a").increment()
+        registry.counter("calls", node="a").increment()
         engine.evaluate(1.0)
         assert engine.node_states() == {}  # one-sample noise suppressed
-        registry.counter("calls", labels={"node": "a"}).increment(3)
+        registry.counter("calls", node="a").increment(3)
         engine.evaluate(2.0)
         assert engine.node_states() == {"a": "degraded"}
 
@@ -217,12 +217,12 @@ class TestHealthEngine:
             ],
             flight=flight,
         )
-        registry.counter("errs", labels={"node": "a"}).increment(5)
+        registry.counter("errs", node="a").increment(5)
         engine.evaluate(3.0)
         assert engine.node_states() == {"a": "critical"}
         assert (
             registry.counter(
-                "health.critical_breaches", labels={"node": "a"}
+                "health.critical_breaches", node="a"
             ).value
             == 1
         )
@@ -242,7 +242,7 @@ class TestHealthEngine:
             ],
             flight=flight,
         )
-        registry.counter("errs", labels={"node": "a"}).increment(20)
+        registry.counter("errs", node="a").increment(20)
         engine.evaluate(1.0)
         assert engine.flight_dumps["a"]["slo"] == "e1"
         assert len(engine.flight_dumps) == 1
@@ -254,8 +254,8 @@ class TestHealthEngine:
             [SloSpec(name="e", numerator="errs", degraded=0.0)],
             max_events=1,
         )
-        errs_a = registry.counter("errs", labels={"node": "a"})
-        errs_b = registry.counter("errs", labels={"node": "b"})
+        errs_a = registry.counter("errs", node="a")
+        errs_b = registry.counter("errs", node="b")
         errs_a.increment()
         errs_b.increment()
         engine.evaluate(1.0)
@@ -276,7 +276,7 @@ class TestHealthEngine:
         registry, engine = _engine(
             [SloSpec(name="e", numerator="errs", degraded=0.0)]
         )
-        registry.counter("errs", labels={"node": "a"}).increment()
+        registry.counter("errs", node="a").increment()
         engine.evaluate(1.0)
         data = engine.as_dict()
         assert data["verdicts"] == {"e": {"a": "degraded"}}

@@ -83,6 +83,45 @@ class TestCapture:
         assert all(tree.span.name == "cs.call" for tree in trees)
 
 
+class TestNodesSection:
+    #: Node ids that use the label syntax itself.
+    UGLY = ["a}b", 'q"uote', "back\\slash", "new\nline", "}{"]
+
+    def _ugly_world(self):
+        world = World(seed=3)
+        for index, node_id in enumerate(self.UGLY):
+            standard_host(
+                world, node_id, Position(10.0 * index, 0), [WIFI_ADHOC]
+            )
+        return world
+
+    def test_every_node_id_survives_capture(self):
+        report = RunReport.capture("t", self._ugly_world())
+        assert sorted(report.nodes) == sorted(self.UGLY)
+        for node_id in self.UGLY:
+            assert report.nodes[node_id]["host.request_rtt.count"] == 0.0
+
+    def test_nodes_match_the_parsed_snapshot(self):
+        from repro.sim.metrics import rollup_by_label
+
+        world, _profiler = small_run()
+        report = RunReport.capture("t", world)
+        assert report.nodes == rollup_by_label(report.metrics)
+        assert sorted(report.nodes) == ["a", "b"]
+
+    def test_capture_parses_no_label_strings(self, monkeypatch):
+        import repro.sim.metrics as metrics_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("label string parsed during capture")
+
+        world = self._ugly_world()
+        for name in ("split_labeled", "rollup_by_label", "parse_labels"):
+            monkeypatch.setattr(metrics_module, name, forbidden)
+        report = RunReport.capture("t", world)
+        assert len(report.nodes) == len(self.UGLY)
+
+
 class TestRoundTrip:
     def test_json_round_trip(self):
         world, profiler = small_run()

@@ -51,7 +51,7 @@ class TestExpositionRoundTrip:
         totals = {}
         for node, amount in increments:
             registry.counter(
-                "net.bytes", labels={"node": node}
+                "net.bytes", node=node
             ).increment(amount)
             totals[node] = totals.get(node, 0) + amount
         text = metrics_to_prometheus(registry)

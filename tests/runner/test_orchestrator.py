@@ -254,3 +254,29 @@ class TestMergeDeterminism:
         loaded = RunReport.load_checked(str(path))
         assert loaded.name == matrix.name
         assert len(loaded.nodes) == len(reports)
+
+    def test_label_syntax_in_job_keys_and_node_ids(self):
+        # Job keys and node ids may contain the label syntax itself; the
+        # merge must neither drop a job from ``nodes`` nor re-emit a
+        # job's per-node key as a bogus job metric.
+        matrix = _fast_matrix()
+        keys = ["we}rd/default/s0", 'q"uote\\/default/s1', "nl\n}/x/s2"]
+        job = {
+            "metrics": {
+                "chaos.completed": 1.0,
+                'chaos.completed{node="a}b"}': 1.0,
+                'host.rtt{node="c\\"}"}.p95': 0.5,
+            },
+            "env": {"sim_time": 1.0},
+        }
+        document = merge_matrix_report(matrix, {key: job for key in keys})
+        assert sorted(document["nodes"]) == sorted(keys)
+        for section in document["nodes"].values():
+            assert section == {"chaos.completed": 1.0, "runner.job_ok": 1.0}
+        aggregates = {
+            name for name in document["metrics"] if name.startswith("agg.")
+        }
+        assert aggregates == {
+            f"agg.chaos.completed.{stat}"
+            for stat in ("min", "p50", "p90", "max", "mean")
+        }

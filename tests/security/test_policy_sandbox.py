@@ -132,7 +132,7 @@ class TestSandbox:
         assert not result.ok
         assert result.error_type == "SandboxViolation"
         violations = metrics.counter(
-            "security.sandbox_violations", labels={"node": "host"}
+            "security.sandbox_violations", node="host"
         )
         assert violations.value == 1
         # Labeled children roll up into the flat family total.
@@ -151,7 +151,7 @@ class TestSandbox:
         for _ in range(3):
             run_once(provider, lambda ctx: None)
         runs = metrics.counter(
-            "security.sandbox_runs", labels={"node": "host"}
+            "security.sandbox_runs", node="host"
         )
         assert runs.value == 3
 

@@ -14,14 +14,8 @@ from repro.sim.metrics import (
 
 
 class TestLabeledNames:
-    def test_labeled_name_sorts_keys(self):
-        assert (
-            labeled_name("net.bytes", {"node": "a", "link": "wifi"})
-            == 'net.bytes{link="wifi",node="a"}'
-        )
-
     def test_split_labeled_round_trip(self):
-        name = labeled_name("net.bytes", {"node": "a"})
+        name = labeled_name("net.bytes", "a")
         base, labels = split_labeled(name)
         assert base == "net.bytes"
         assert labels == {"node": "a"}
@@ -32,10 +26,14 @@ class TestLabeledNames:
         assert labels is None
 
     def test_escaping_round_trips(self):
-        ugly = 'no"de\\with\nweird'
-        name = labeled_name("m", {"node": ugly})
-        _base, labels = split_labeled(name)
-        assert labels == {"node": ugly}
+        uglies = ['no"de\\with\nweird', "a}b", "}", 'q"}x', "back\\",
+                  "new\n}", '{x="y"}']
+        for ugly in uglies:
+            for suffix in ("", ".p95"):
+                name = labeled_name("m", ugly) + suffix
+                assert split_labeled(name) == ("m" + suffix, {"node": ugly})
+        # A "}" inside the quoted value must not end the label set.
+        assert split_labeled('x{node="a}b"}') == ("x", {"node": "a}b"})
 
     def test_split_labeled_keeps_stat_suffix(self):
         base, labels = split_labeled('host.rtt{node="a"}.p95')
@@ -47,41 +45,41 @@ class TestForwarding:
     def test_counter_child_forwards_to_flat_parent(self):
         registry = MetricsRegistry()
         registry.counter("net.msgs").increment(1)
-        registry.counter("net.msgs", labels={"node": "a"}).increment(2)
-        registry.counter("net.msgs", labels={"node": "b"}).increment(3)
+        registry.counter("net.msgs", node="a").increment(2)
+        registry.counter("net.msgs", node="b").increment(3)
         assert registry.counter("net.msgs").value == 6
-        assert registry.counter("net.msgs", labels={"node": "a"}).value == 2
+        assert registry.counter("net.msgs", node="a").value == 2
 
     def test_histogram_child_forwards_observations(self):
         registry = MetricsRegistry()
-        registry.histogram("rtt", labels={"node": "a"}).observe(1.0)
-        registry.histogram("rtt", labels={"node": "b"}).observe(3.0)
+        registry.histogram("rtt", node="a").observe(1.0)
+        registry.histogram("rtt", node="b").observe(3.0)
         parent = registry.histogram("rtt")
         assert parent.count == 2
         assert parent.total == 4.0
 
     def test_gauge_child_forwards_sets(self):
         registry = MetricsRegistry()
-        registry.gauge("load", labels={"node": "a"}).set(5.0)
+        registry.gauge("load", node="a").set(5.0)
         assert registry.gauge("load").value == 5.0
 
     def test_children_appear_in_snapshot_under_labeled_keys(self):
         registry = MetricsRegistry()
-        registry.counter("net.msgs", labels={"node": "a"}).increment()
+        registry.counter("net.msgs", node="a").increment()
         snapshot = registry.snapshot()
         assert snapshot['net.msgs{node="a"}'] == 1.0
         assert snapshot["net.msgs"] == 1.0  # forwarded flat total
 
     def test_same_labels_return_same_child(self):
         registry = MetricsRegistry()
-        first = registry.counter("c", labels={"node": "a"})
-        second = registry.counter("c", labels={"node": "a"})
+        first = registry.counter("c", node="a")
+        second = registry.counter("c", node="a")
         assert first is second
 
     def test_labeled_children_accessor(self):
         registry = MetricsRegistry()
-        registry.counter("c", labels={"node": "b"}).increment(2)
-        registry.counter("c", labels={"node": "a"}).increment(1)
+        registry.counter("c", node="b").increment(2)
+        registry.counter("c", node="a").increment(1)
         children = registry.labeled_children("c")
         assert sorted(children) == ["a", "b"]
         assert children["b"].value == 2
@@ -96,7 +94,7 @@ class TestCardinality:
     def test_overflow_folds_into_other(self):
         registry = MetricsRegistry(label_capacity=2)
         for node in ("a", "b", "c", "d"):
-            registry.counter("c", labels={"node": node}).increment()
+            registry.counter("c", node=node).increment()
         children = registry.labeled_children("c")
         assert sorted(children) == sorted(["a", "b", OVERFLOW_LABEL])
         assert children[OVERFLOW_LABEL].value == 2
@@ -104,30 +102,30 @@ class TestCardinality:
 
     def test_overflow_counted_once_per_distinct_series(self):
         registry = MetricsRegistry(label_capacity=1)
-        registry.counter("c", labels={"node": "a"}).increment()
+        registry.counter("c", node="a").increment()
         for _ in range(3):
-            registry.counter("c", labels={"node": "b"}).increment()
-        registry.counter("c", labels={"node": "z"}).increment()
+            registry.counter("c", node="b").increment()
+        registry.counter("c", node="z").increment()
         assert registry.counter("obs.labels.overflow").value == 2
 
     def test_series_counter_tracks_created_children(self):
         registry = MetricsRegistry()
-        registry.counter("c", labels={"node": "a"})
-        registry.counter("c", labels={"node": "b"})
-        registry.histogram("h", labels={"node": "a"})
+        registry.counter("c", node="a")
+        registry.counter("c", node="b")
+        registry.histogram("h", node="a")
         assert registry.counter("obs.labels.series").value == 3
 
     def test_label_cardinality(self):
         registry = MetricsRegistry()
-        registry.counter("c", labels={"node": "a"})
-        registry.counter("c", labels={"node": "b"})
+        registry.counter("c", node="a")
+        registry.counter("c", node="b")
         assert registry.label_cardinality("c") == 2
         assert registry.label_cardinality("missing") == 0
 
     def test_default_capacity(self):
         registry = MetricsRegistry()
         for index in range(DEFAULT_LABEL_CAPACITY + 10):
-            registry.counter("c", labels={"node": f"n{index}"}).increment()
+            registry.counter("c", node=f"n{index}").increment()
         children = registry.labeled_children("c")
         assert len(children) == DEFAULT_LABEL_CAPACITY + 1  # + __other__
         assert children[OVERFLOW_LABEL].value == 10
@@ -136,9 +134,9 @@ class TestCardinality:
 class TestRollup:
     def test_rollup_by_label_groups_per_node(self):
         registry = MetricsRegistry()
-        registry.counter("net.msgs", labels={"node": "a"}).increment(2)
-        registry.counter("net.msgs", labels={"node": "b"}).increment(5)
-        registry.histogram("rtt", labels={"node": "a"}).observe(1.0)
+        registry.counter("net.msgs", node="a").increment(2)
+        registry.counter("net.msgs", node="b").increment(5)
+        registry.histogram("rtt", node="a").observe(1.0)
         rollup = rollup_by_label(registry.snapshot())
         assert rollup["a"]["net.msgs"] == 2.0
         assert rollup["b"]["net.msgs"] == 5.0
@@ -217,7 +215,7 @@ class TestDecimation:
 
     def test_registry_threads_cap_to_labeled_children(self):
         registry = MetricsRegistry(max_samples=4)
-        child = registry.histogram("h", labels={"node": "a"})
+        child = registry.histogram("h", node="a")
         for value in range(50):
             child.observe(float(value))
         assert child.retained <= 4
